@@ -17,18 +17,8 @@ from datetime import datetime, timezone
 from . import __version__, bounds, islands, models, sampling, special
 from .errors import EntarchError
 
-_CONSTRAINT_FLAGS = {
-    "multiplicative": "multiplicative",
-    "additive": "additive",
-    "non-ppt": "non_ppt",
-    "additive-minus-mult": "additive_minus_mult",
-    "mult-minus-additive": "mult_minus_additive",
-}
-_MODE_FLAGS = {
-    "analytic": models.MODE_ANALYTIC,
-    "psd-oracle": models.MODE_PSD_ORACLE,
-    "paper-cube": models.MODE_PAPER_CUBE,
-}
+_CONSTRAINT_FLAGS = {c.replace("_", "-"): c for c in sampling.CONSTRAINTS}
+_MODE_FLAGS = {m.replace("_", "-"): m for s in models.MODELS.values() for m in s.modes}
 _METHOD_FLAGS = {"mc": sampling.STREAM_PSEUDO, "lds": sampling.STREAM_LDS}
 _OBJECTIVE_FLAGS = {"product": "abs_product", "l1": "l1_norm"}
 _SET_FLAGS = {"physical": "physical", "ppt": "ppt_and_physical"}
@@ -38,57 +28,46 @@ class UsageError(Exception):
     pass
 
 
-def closed_form_probability(spec, constraint: str, mode: str):
-    """Reference value for (model, constraint, mode), or None if unknown."""
-    mid = spec.model_id
-    half_minus_mult = 0.5 - sampling_reference_mult()
-    table = {
-        ("M1", "multiplicative", models.MODE_ANALYTIC): special.p1_simplified().value,
-        ("M1", "additive", models.MODE_ANALYTIC): 0.0,
-        ("M2", "multiplicative", models.MODE_PAPER_CUBE): special.p2_closed().value,
-        ("M2", "additive", models.MODE_PAPER_CUBE): 0.0,
-        ("M3", "multiplicative", models.MODE_ANALYTIC): sampling_reference_mult(),
-        ("M3", "additive", models.MODE_ANALYTIC): 0.5,
-        ("M3", "non_ppt", models.MODE_ANALYTIC): 0.5,
-        ("M3", "additive_minus_mult", models.MODE_ANALYTIC): half_minus_mult,
-        ("M4", "multiplicative", models.MODE_ANALYTIC): sampling_reference_mult(),
-        ("M4", "additive", models.MODE_ANALYTIC): 0.5,
-        ("M4", "non_ppt", models.MODE_ANALYTIC): 0.5,
-        ("M4", "additive_minus_mult", models.MODE_ANALYTIC): half_minus_mult,
-        ("M5", "multiplicative", models.MODE_PSD_ORACLE): 0.0,
-    }
-    return table.get((mid, constraint, mode))
+def nonnegative_float(text):
+    """argparse type for tolerances: a float >= 0."""
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
 
 
-def sampling_reference_mult() -> float:
-    """Reported multiplicative probability shared by the M3 and M4 families."""
-    return 0.3911855600402
-
-
-def _load_config(path):
-    if path is None:
+def _load_config(args):
+    """``--config FILE`` values, checked with the subcommand's own flag types and choices."""
+    if args.config is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
+    with open(args.config, encoding="utf-8") as fh:
         raw = json.load(fh)
-    return {str(k).replace("-", "_"): v for k, v in raw.items()}
+    if not isinstance(raw, dict):
+        raise UsageError(f"config file {args.config} must hold a JSON object")
+    actions = {
+        a.dest: a
+        for a in args.parser._actions
+        if a.option_strings and a.nargs != 0 and not a.required and a.dest != "config"
+    }
+    config = {}
+    for key, value in raw.items():
+        action = actions.get(str(key).replace("-", "_"))
+        if action is None:
+            raise UsageError(f"unknown config key {key!r}; choose from {', '.join(sorted(actions))}")
+        text = value if isinstance(value, str) else json.dumps(value)
+        try:
+            config[action.dest] = (action.type or str)(text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(f"config value {key}={value!r}: {exc}") from None
+        if action.choices is not None and config[action.dest] not in action.choices:
+            raise UsageError(f"config value {key}={value!r}; choose from {', '.join(action.choices)}")
+    return config
 
 
 def _resolve(args, config, key, default):
+    """The flag's value, else the config file's, else ``default``."""
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _lookup(table, value, what):
-    try:
-        return table[value]
-    except KeyError:
-        raise UsageError(
-            f"unknown {what} {value!r}; choose from {', '.join(sorted(table))}"
-        ) from None
+    return value if value is not None else config.get(key, default)
 
 
 def _get_model(name):
@@ -122,27 +101,27 @@ def cmd_list_models(args):
 
 
 def cmd_prob(args):
-    config = _load_config(args.config)
+    config = _load_config(args)
     spec = _get_model(args.model)
-    constraint = _lookup(_CONSTRAINT_FLAGS, _resolve(args, config, "constraint", "multiplicative"), "constraint")
+    constraint = _CONSTRAINT_FLAGS[_resolve(args, config, "constraint", "multiplicative")]
     method = _resolve(args, config, "method", "mc")
     samples = int(_resolve(args, config, "samples", 1_000_000))
     seed = int(_resolve(args, config, "seed", 0))
     chunk = int(_resolve(args, config, "chunk", 65536))
     mode_flag = _resolve(args, config, "physical_mode", None)
-    mode = models.resolve_mode(spec, _lookup(_MODE_FLAGS, mode_flag, "physical mode") if mode_flag else None)
+    mode = models.resolve_mode(spec, _MODE_FLAGS[mode_flag] if mode_flag else None)
     eps_psd = float(_resolve(args, config, "eps_psd", 1e-12))
     cfg = sampling.SamplerConfig(
         seed=seed,
         n_samples=samples,
-        stream=_lookup(_METHOD_FLAGS, method, "method"),
+        stream=_METHOD_FLAGS[method],
         chunk_size=chunk,
         physical_mode=mode,
     )
     est = sampling.estimate_probability(spec, constraint, cfg, eps_psd=eps_psd)
     result = est.as_dict()
     if args.compare_closed_form:
-        closed = closed_form_probability(spec, constraint, mode)
+        closed = special.reference_probabilities().get((spec.model_id, constraint, mode))
         if closed is not None:
             result["closed_form"] = closed
             if est.std_error > 0:
@@ -163,12 +142,12 @@ def cmd_prob(args):
 
 
 def cmd_classify(args):
-    config = _load_config(args.config)
+    config = _load_config(args)
     spec = _get_model(args.model)
     point = (float(args.t1), float(args.t2), float(args.t3))
     eps_psd = float(_resolve(args, config, "eps_psd", 1e-12))
     mode_flag = _resolve(args, config, "physical_mode", None)
-    mode = models.resolve_mode(spec, _lookup(_MODE_FLAGS, mode_flag, "physical mode") if mode_flag else None)
+    mode = models.resolve_mode(spec, _MODE_FLAGS[mode_flag] if mode_flag else None)
     verdict = models.classify(spec, point, eps_psd=eps_psd, physical_mode=mode)
     result = {"model": spec.model_id, "t": list(point), **verdict.as_dict()}
     cfg_echo = {
@@ -184,13 +163,13 @@ def cmd_classify(args):
 
 
 def cmd_islands(args):
-    config = _load_config(args.config)
+    config = _load_config(args)
     spec = _get_model(args.model)
-    constraint = _lookup(_CONSTRAINT_FLAGS, _resolve(args, config, "constraint", "multiplicative"), "constraint")
+    constraint = _CONSTRAINT_FLAGS[_resolve(args, config, "constraint", "multiplicative")]
     resolution = int(_resolve(args, config, "resolution", 121))
     eps_psd = float(_resolve(args, config, "eps_psd", 1e-12))
     mode_flag = _resolve(args, config, "physical_mode", None)
-    mode = models.resolve_mode(spec, _lookup(_MODE_FLAGS, mode_flag, "physical mode") if mode_flag else None)
+    mode = models.resolve_mode(spec, _MODE_FLAGS[mode_flag] if mode_flag else None)
     report = islands.enumerate_islands(
         spec, constraint, resolution, physical_mode=mode, eps_psd=eps_psd
     )
@@ -206,9 +185,9 @@ def cmd_islands(args):
 
 
 def cmd_export(args):
-    config = _load_config(args.config)
+    config = _load_config(args)
     spec = _get_model(args.model)
-    constraint = _lookup(_CONSTRAINT_FLAGS, _resolve(args, config, "constraint", "multiplicative"), "constraint")
+    constraint = _CONSTRAINT_FLAGS[_resolve(args, config, "constraint", "multiplicative")]
     fmt = _resolve(args, config, "format", "csv")
     seed = int(_resolve(args, config, "seed", 0))
     samples = _resolve(args, config, "samples", None)
@@ -218,7 +197,7 @@ def cmd_export(args):
     if samples is None and resolution is None:
         resolution = 121
     mode_flag = _resolve(args, config, "physical_mode", None)
-    mode = models.resolve_mode(spec, _lookup(_MODE_FLAGS, mode_flag, "physical mode") if mode_flag else None)
+    mode = models.resolve_mode(spec, _MODE_FLAGS[mode_flag] if mode_flag else None)
     summary = islands.export_point_cloud(
         spec,
         args.out,
@@ -254,10 +233,10 @@ def cmd_verify(args):
 
 
 def cmd_bounds(args):
-    config = _load_config(args.config)
+    config = _load_config(args)
     spec = _get_model(args.model)
-    objective = _lookup(_OBJECTIVE_FLAGS, _resolve(args, config, "objective", "product"), "objective")
-    feasible_set = _lookup(_SET_FLAGS, _resolve(args, config, "feasible_set", "physical"), "feasible set")
+    objective = _OBJECTIVE_FLAGS[_resolve(args, config, "objective", "product")]
+    feasible_set = _SET_FLAGS[_resolve(args, config, "feasible_set", "physical")]
     restarts = int(_resolve(args, config, "restarts", 24))
     seed = int(_resolve(args, config, "seed", 0))
     result = bounds.maximize(
@@ -293,29 +272,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--chunk", type=int)
     p.add_argument("--physical-mode", dest="physical_mode", choices=sorted(_MODE_FLAGS))
-    p.add_argument("--eps-psd", dest="eps_psd", type=float)
+    p.add_argument("--eps-psd", dest="eps_psd", type=nonnegative_float)
     p.add_argument("--compare-closed-form", action="store_true")
     p.add_argument("--config")
-    p.set_defaults(handler=cmd_prob)
+    p.set_defaults(handler=cmd_prob, parser=p)
 
     p = sub.add_parser("classify", help="classify one parameter point")
     p.add_argument("model")
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--t2", type=float, required=True)
     p.add_argument("--t3", type=float, required=True)
-    p.add_argument("--eps-psd", dest="eps_psd", type=float)
+    p.add_argument("--eps-psd", dest="eps_psd", type=nonnegative_float)
     p.add_argument("--physical-mode", dest="physical_mode", choices=sorted(_MODE_FLAGS))
     p.add_argument("--config")
-    p.set_defaults(handler=cmd_classify)
+    p.set_defaults(handler=cmd_classify, parser=p)
 
     p = sub.add_parser("islands", help="connected components of the constrained region")
     p.add_argument("model")
     p.add_argument("--constraint", choices=sorted(_CONSTRAINT_FLAGS))
     p.add_argument("--resolution", type=int)
     p.add_argument("--physical-mode", dest="physical_mode", choices=sorted(_MODE_FLAGS))
-    p.add_argument("--eps-psd", dest="eps_psd", type=float)
+    p.add_argument("--eps-psd", dest="eps_psd", type=nonnegative_float)
     p.add_argument("--config")
-    p.set_defaults(handler=cmd_islands)
+    p.set_defaults(handler=cmd_islands, parser=p)
 
     p = sub.add_parser("export", help="write a CSV or PLY point cloud")
     p.add_argument("model")
@@ -327,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--physical-mode", dest="physical_mode", choices=sorted(_MODE_FLAGS))
     p.add_argument("--config")
-    p.set_defaults(handler=cmd_export)
+    p.set_defaults(handler=cmd_export, parser=p)
 
     p = sub.add_parser("verify", help="run every closed-form and identity check")
     p.set_defaults(handler=cmd_verify)
@@ -339,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--config")
-    p.set_defaults(handler=cmd_bounds)
+    p.set_defaults(handler=cmd_bounds, parser=p)
 
     return parser
 

@@ -230,9 +230,9 @@ def enumerate_islands(
     return report
 
 
-def _point_labels(spec, pts, eps_psd):
+def _point_labels(spec, pts, mode, eps_psd):
     """Classification label per point, via the vectorized mask fast paths."""
-    phys = models.physical_mask(spec, pts, None, eps_psd)
+    phys = models.physical_mask(spec, pts, mode, eps_psd)
     ppt = models.ppt_mask(spec, pts, eps_psd)
     add = models.additive_mask(spec, pts)
     mult = models.multiplicative_mask(spec, pts)
@@ -299,7 +299,7 @@ def export_point_cloud(
         pts = np.vstack(chunks) if chunks else np.zeros((0, 3))
         island_ids = np.full(len(pts), -1, dtype=np.int64)
         summary_extra = {"n_samples": n_samples, "seed": seed}
-    labels = _point_labels(spec, pts, eps_psd) if len(pts) else np.zeros(0, dtype=object)
+    labels = _point_labels(spec, pts, mode, eps_psd) if len(pts) else np.zeros(0, dtype=object)
     try:
         if fmt == "csv":
             _write_csv(path, pts, labels, island_ids)

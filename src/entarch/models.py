@@ -5,38 +5,44 @@ Each family has the form
     rho(t) = 1/(dim_a*dim_b) * (1 x 1) + 1/4 * sum_i t_i * (A_i x B_i)
 
 with three fixed generator pairs (A_i, B_i).  The catalog provides the
-density-matrix builder, analytic physicality predicates (where a closed
-form exists), PPT predicates with verified fast paths, and the two
-entanglement constraints
+density-matrix builder, one region record per family, PPT predicates and
+the two entanglement constraints
 
     additive:        (|t1| + |t2| + |t3|)^2 > additive_threshold
     multiplicative:  (t1*t2*t3)^2 > multiplicative_threshold
 
-both strict.
+both strict.  ``ModelSpec.regions`` maps each physicality mode to a
+``Region`` - a prism, cube, tetrahedron or ball of one size - whose margin,
+volume, l1 supremum and direct sampler every per-model predicate reads.
+"psd_oracle" shares the true set's region but lets the eigen-oracle decide.
 
 Models
 ------
 M1  qubit-ququart (2x4), generators (s1,l1), (s2,l13), (s3,l3).
-    Physical iff |t2| <= 1/2 and |t1|+|t3| <= 1/2.  Every physical state
-    equals its own partial transpose on the ququart side.
+    Physical set Prism(1/2).  Every physical state equals its own partial
+    transpose on the ququart side.
 M2  two-ququart (4x4), generators (l1,l1), (l13,l13), (l3,l3).
-    Mode "paper_cube" uses the documented cube domain [-1/4,1/4]^3; the
-    eigenvalue oracle shows the actual PSD set is the smaller prism
-    {|t2| <= 1/4, |t1|+|t3| <= 1/4} (mode "analytic").  Both modes are
-    first class and every report names the mode it used.
+    Mode "paper_cube" uses the documented domain Cube(1/4); the
+    eigenvalue oracle shows the actual PSD set is the smaller Prism(1/4)
+    (mode "analytic").  Both modes are first class and every report names
+    the mode it used.
 M3  two-qubit (2x2) Bell-diagonal family, generators (s_i, s_i).  The
     middle term's second-side generator index is read as 2 (the standard
     Bell-diagonal family); the resulting spectrum is (1 +- t1 +- t2 +- t3)/4
-    over sign patterns with an even number of plus signs.
+    over sign patterns with an even number of plus signs: Tetrahedron(1).
 M4  two-qutrit (3x3), generators (l_i, l_i) for i = 1, 2, 3.  Its physical
-    set is the M3 tetrahedron scaled by 4/9; the additive threshold (4/9)^2
-    is the image of the M3 threshold under that exact affine map.
-M5  two-qutrit (3x3), generators (l1,l1), (l2,l4), (l3,l6).  No closed-form
-    physicality predicate is shipped; the PSD eigen-oracle decides.
+    set is Tetrahedron(4/9); the additive threshold (4/9)^2 is the image of
+    the M3 threshold under that exact affine map.
+M5  two-qutrit (3x3), generators (l1,l1), (l2,l4), (l3,l6).  The spectrum
+    is {1/9 (x5), 1/9 +- |t|_2/4 (x2 each)}, so the physical set is
+    Ball(4/9).  Its only mode is "psd_oracle": the eigen-oracle decides
+    membership, and the ball supplies the margin, volume and l1 supremum.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,6 +63,86 @@ MODE_PAPER_CUBE = "paper_cube"
 
 
 @dataclass(frozen=True)
+class Region:
+    """A solid scaled by ``size``, its bounding half-width.
+
+    Subclasses give the volume VOLUME and the supremum L1SQ of
+    (|t1|+|t2|+|t3|)^2 at size 1, the signed ``margin`` (positive inside) and
+    optionally ``direct``, a measure-preserving map of unit-cube uniforms
+    onto the set.
+    """
+
+    size: float
+    direct = None
+
+    @property
+    def volume(self) -> float:
+        return self.VOLUME * self.size**3
+
+    @property
+    def l1sq_sup(self) -> float:
+        return self.L1SQ * self.size**2
+
+
+class Prism(Region):
+    """{|t2| <= a, |t1| + |t3| <= a}; the l1 supremum is at (a, a, 0)."""
+
+    VOLUME, L1SQ = 4.0, 4.0
+
+    def margin(self, ts):
+        # a - max(|t2|, |t1| + |t3|) rather than (a - |t1|) - |t3|: its sign is
+        # exactly that of the float comparisons |t2| <= a and |t1| + |t3| <= a.
+        diamond = np.abs(ts[:, 0]) + np.abs(ts[:, 2])
+        return self.size - np.maximum(np.abs(ts[:, 1]), diamond, out=diamond)
+
+    def direct(self, u):
+        # t2 is uniform on its interval; (t1, t3) fill the diamond through the
+        # square-to-diamond affine map.
+        a = self.size
+        t1 = (u[:, 0] + u[:, 1] - 1.0) * a
+        t3 = (u[:, 0] - u[:, 1]) * a
+        return np.column_stack([t1, (2.0 * u[:, 2] - 1.0) * a, t3])
+
+
+class Cube(Region):
+    """[-a, a]^3; the l1 supremum is at (a, a, a)."""
+
+    VOLUME, L1SQ = 8.0, 9.0
+
+    def margin(self, ts):
+        return self.size - np.max(np.abs(ts), axis=1)
+
+    def direct(self, u):
+        return (2.0 * u - 1.0) * self.size
+
+
+class Tetrahedron(Region):
+    """Vertices s(1,1,-1), s(1,-1,1), s(-1,1,1), s(-1,-1,-1), where the l1 supremum is.
+
+    The margin is the least face form s +- t1 +- t2 +- t3 (even plus signs).
+    """
+
+    VOLUME, L1SQ = 8.0 / 3.0, 9.0
+
+    def margin(self, ts):
+        s = self.size
+        t1, t2, t3 = ts[:, 0], ts[:, 1], ts[:, 2]
+        return np.min(
+            np.stack([s + t1 - t2 + t3, s - t1 + t2 + t3, s + t1 + t2 - t3, s - t1 - t2 - t3]),
+            axis=0,
+        )
+
+
+class Ball(Region):
+    """{|t|_2 <= r}; the l1 supremum is at r (1, 1, 1) / sqrt(3)."""
+
+    VOLUME, L1SQ = 4.0 / 3.0 * np.pi, 3.0
+
+    def margin(self, ts):
+        return self.size - np.sqrt(np.sum(ts * ts, axis=1))
+
+
+@dataclass(frozen=True)
 class ModelSpec:
     """Immutable description of one state family."""
 
@@ -66,12 +152,36 @@ class ModelSpec:
     term_indices: tuple  # three (A-side index, B-side index) pairs
     mult_threshold: Fraction
     add_threshold: Fraction
-    modes: tuple
-    default_mode: str
-    box_half: float  # per-axis half width of the tight bounding box
+    regions: dict = field(hash=False)  # physicality mode -> region; the first is the default
     note: str = ""
 
     coefficient: float = field(default=0.25, init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "regions", MappingProxyType(dict(self.regions)))
+
+    @property
+    def modes(self) -> tuple:
+        return tuple(self.regions)
+
+    @property
+    def default_mode(self) -> str:
+        return next(iter(self.regions))
+
+    @property
+    def box_half(self) -> float:
+        """Per-axis half width of the tight box around every mode's region."""
+        return max(region.size for region in self.regions.values())
+
+    @cached_property
+    def pt_signs(self) -> np.ndarray:
+        """Signs s_i with B_i^T = s_i B_i, so that rho(t)^{T_B} = rho(s * t)."""
+        gens = [_side_generator(self.dim_b, ib) for _, ib in self.term_indices]
+        signs = np.array([1.0 if np.array_equal(b.T, b) else -1.0 for b in gens])
+        if not all(np.array_equal(b.T, s * b) for b, s in zip(gens, signs)):
+            raise ContractViolation("a second-side generator is neither symmetric nor antisymmetric")
+        signs.flags.writeable = False
+        return signs
 
     @property
     def dim(self) -> int:
@@ -98,9 +208,7 @@ MODELS = {
         term_indices=((1, 1), (2, 13), (3, 3)),
         mult_threshold=Fraction(4, 19683),
         add_threshold=Fraction(1),
-        modes=(MODE_ANALYTIC, MODE_PSD_ORACLE),
-        default_mode=MODE_ANALYTIC,
-        box_half=0.5,
+        regions=dict.fromkeys((MODE_ANALYTIC, MODE_PSD_ORACLE), Prism(0.5)),
         note="physical set is the prism |t2| <= 1/2, |t1|+|t3| <= 1/2; "
         "all physical states are PPT (the partial transpose equals the state).",
     ),
@@ -111,9 +219,10 @@ MODELS = {
         term_indices=((1, 1), (13, 13), (3, 3)),
         mult_threshold=Fraction(16, 531441),
         add_threshold=Fraction(1),
-        modes=(MODE_PAPER_CUBE, MODE_ANALYTIC, MODE_PSD_ORACLE),
-        default_mode=MODE_PAPER_CUBE,
-        box_half=0.25,
+        regions={
+            MODE_PAPER_CUBE: Cube(0.25),
+            **dict.fromkeys((MODE_ANALYTIC, MODE_PSD_ORACLE), Prism(0.25)),
+        },
         note="'paper_cube' takes the cube [-1/4,1/4]^3 as the physical domain; "
         "the PSD eigen-oracle gives the smaller prism |t2| <= 1/4, "
         "|t1|+|t3| <= 1/4 ('analytic' mode).  The partial transpose equals "
@@ -126,9 +235,7 @@ MODELS = {
         term_indices=((1, 1), (2, 2), (3, 3)),
         mult_threshold=Fraction(1, 729),
         add_threshold=Fraction(1),
-        modes=(MODE_ANALYTIC, MODE_PSD_ORACLE),
-        default_mode=MODE_ANALYTIC,
-        box_half=1.0,
+        regions=dict.fromkeys((MODE_ANALYTIC, MODE_PSD_ORACLE), Tetrahedron(1.0)),
         note="Bell-diagonal two-qubit family; the middle term's second-side "
         "generator index is read as 2.  Physical set is the tetrahedron with "
         "vertices (1,1,-1), (1,-1,1), (-1,1,1), (-1,-1,-1).",
@@ -140,9 +247,7 @@ MODELS = {
         term_indices=((1, 1), (2, 2), (3, 3)),
         mult_threshold=Fraction(4096, 387420489),
         add_threshold=Fraction(16, 81),
-        modes=(MODE_ANALYTIC, MODE_PSD_ORACLE),
-        default_mode=MODE_ANALYTIC,
-        box_half=4.0 / 9.0,
+        regions=dict.fromkeys((MODE_ANALYTIC, MODE_PSD_ORACLE), Tetrahedron(4.0 / 9.0)),
         note="physical set is the M3 tetrahedron scaled by 4/9; the additive "
         "threshold (4/9)^2 is inferred from that scaling (no independent "
         "source states it) and is flagged in reports.",
@@ -154,30 +259,12 @@ MODELS = {
         term_indices=((1, 1), (2, 4), (3, 6)),
         mult_threshold=Fraction(4096, 14348907),
         add_threshold=Fraction(16, 81),
-        modes=(MODE_PSD_ORACLE,),
-        default_mode=MODE_PSD_ORACLE,
-        box_half=4.0 / 9.0,
+        regions={MODE_PSD_ORACLE: Ball(4.0 / 9.0)},
         note="no closed-form physicality predicate; the PSD eigen-oracle "
         "decides.  The additive threshold is an unused placeholder.  The "
         "partial transpose equals the state.",
     ),
 }
-
-# Analytic volume of the physical set, per (model, mode); None where no
-# closed form is shipped.
-_PHYSICAL_VOLUME = {
-    ("M1", MODE_ANALYTIC): 0.5,
-    ("M1", MODE_PSD_ORACLE): 0.5,
-    ("M2", MODE_PAPER_CUBE): 0.125,
-    ("M2", MODE_ANALYTIC): 0.0625,
-    ("M2", MODE_PSD_ORACLE): 0.0625,
-    ("M3", MODE_ANALYTIC): 8.0 / 3.0,
-    ("M3", MODE_PSD_ORACLE): 8.0 / 3.0,
-    ("M4", MODE_ANALYTIC): (8.0 / 3.0) * (4.0 / 9.0) ** 3,
-    ("M4", MODE_PSD_ORACLE): (8.0 / 3.0) * (4.0 / 9.0) ** 3,
-    ("M5", MODE_PSD_ORACLE): None,
-}
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -215,7 +302,7 @@ def get_model(model_id: str) -> ModelSpec:
 def resolve_mode(spec: ModelSpec, mode: str | None) -> str:
     if mode is None:
         return spec.default_mode
-    if mode not in spec.modes:
+    if mode not in spec.regions:
         raise UnsupportedMode(
             f"model {spec.model_id} supports physicality modes {spec.modes}, not {mode!r}"
         )
@@ -266,71 +353,33 @@ def build_states(spec: ModelSpec, ts: np.ndarray) -> np.ndarray:
     return base[None, :, :] + spec.coefficient * np.einsum("ni,ijk->njk", ts, k)
 
 
-def _bell_forms(ts: np.ndarray, scale: float) -> np.ndarray:
-    """The four affine forms scale +- t1 +- t2 +- t3 over even-plus sign patterns."""
-    t1, t2, t3 = ts[:, 0], ts[:, 1], ts[:, 2]
-    return np.stack(
-        [
-            scale + t1 - t2 + t3,
-            scale - t1 + t2 + t3,
-            scale + t1 + t2 - t3,
-            scale - t1 - t2 - t3,
-        ]
-    )
-
-
-def _psd_mask(spec: ModelSpec, ts: np.ndarray, eps_psd: float) -> np.ndarray:
-    if len(ts) == 0:
-        return np.zeros(0, dtype=bool)
-    vals = eigvalsh_stack(build_states(spec, ts))
-    return vals[:, 0] >= -eps_psd
-
-
 def physical_mask(
     spec: ModelSpec,
     ts: np.ndarray,
     mode: str | None = None,
     eps_psd: float = DEFAULT_EPS_PSD,
 ) -> np.ndarray:
-    """Vectorized physicality test for an (N, 3) array of parameter points."""
+    """Vectorized physicality test for an (N, 3) array of parameter points.
+
+    The region's margin decides; in "psd_oracle" mode the eigenvalue oracle.
+    """
     ts = np.atleast_2d(np.asarray(ts, dtype=float))
     mode = resolve_mode(spec, mode)
-    if mode == MODE_PSD_ORACLE:
-        return _psd_mask(spec, ts, eps_psd)
-    if mode == MODE_PAPER_CUBE:
-        return np.max(np.abs(ts), axis=1) <= 0.25
-    mid = spec.model_id
-    if mid == "M1":
-        return (np.abs(ts[:, 1]) <= 0.5) & (np.abs(ts[:, 0]) + np.abs(ts[:, 2]) <= 0.5)
-    if mid == "M2":
-        return (np.abs(ts[:, 1]) <= 0.25) & (np.abs(ts[:, 0]) + np.abs(ts[:, 2]) <= 0.25)
-    if mid == "M3":
-        return np.all(_bell_forms(ts, 1.0) >= 0.0, axis=0)
-    if mid == "M4":
-        return np.all(_bell_forms(ts, 4.0 / 9.0) >= 0.0, axis=0)
-    raise UnsupportedMode(f"no analytic physicality predicate for model {mid}")
+    if mode != MODE_PSD_ORACLE:
+        return spec.regions[mode].margin(ts) >= 0.0
+    if len(ts) == 0:
+        return np.zeros(0, dtype=bool)
+    return eigvalsh_stack(build_states(spec, ts))[:, 0] >= -eps_psd
 
 
 def physical_margin(spec: ModelSpec, ts: np.ndarray, mode: str | None = None) -> np.ndarray:
-    """Signed distance proxy to the analytic physicality boundary (positive inside).
+    """Signed distance proxy to the closed-form physicality boundary (positive inside).
 
     Used to exclude a thin boundary band when comparing analytic predicates
     against the PSD eigen-oracle.
     """
     ts = np.atleast_2d(np.asarray(ts, dtype=float))
-    mode = resolve_mode(spec, mode)
-    mid = spec.model_id
-    if mode == MODE_PAPER_CUBE:
-        return 0.25 - np.max(np.abs(ts), axis=1)
-    if mid == "M1":
-        return np.minimum(0.5 - np.abs(ts[:, 1]), 0.5 - np.abs(ts[:, 0]) - np.abs(ts[:, 2]))
-    if mid == "M2":
-        return np.minimum(0.25 - np.abs(ts[:, 1]), 0.25 - np.abs(ts[:, 0]) - np.abs(ts[:, 2]))
-    if mid == "M3":
-        return np.min(_bell_forms(ts, 1.0), axis=0)
-    if mid == "M4":
-        return np.min(_bell_forms(ts, 4.0 / 9.0), axis=0)
-    raise UnsupportedMode(f"no analytic margin for model {mid}")
+    return spec.regions[resolve_mode(spec, mode)].margin(ts)
 
 
 def is_physical_analytic(spec: ModelSpec, t, mode: str | None = None) -> bool:
@@ -354,23 +403,14 @@ def is_physical(
 
 
 def ppt_mask(spec: ModelSpec, ts: np.ndarray, eps_psd: float = DEFAULT_EPS_PSD) -> np.ndarray:
-    """Vectorized PPT test using the per-model fast path.
+    """Vectorized PPT test: physicality of the point the partial transpose reflects it to.
 
-    M1, M2, M5: the second-side generators are real symmetric, so the
-    partial transpose equals the state and PPT coincides with positivity.
-    M3, M4: the partial transpose flips the sign of t2.  All fast paths are
-    tested against the eigenvalue oracle on the partial transpose.
+    Uses the "analytic" region where the model has one, otherwise the
+    eigenvalue oracle.  Tested against the oracle on the partial transpose.
     """
     ts = np.atleast_2d(np.asarray(ts, dtype=float))
-    mid = spec.model_id
-    if mid == "M1":
-        return physical_mask(spec, ts, MODE_ANALYTIC)
-    if mid == "M2":
-        return physical_mask(spec, ts, MODE_ANALYTIC)
-    if mid == "M5":
-        return _psd_mask(spec, ts, eps_psd)
-    flipped = ts * np.array([1.0, -1.0, 1.0])
-    return physical_mask(spec, flipped, MODE_ANALYTIC)
+    mode = MODE_ANALYTIC if MODE_ANALYTIC in spec.regions else MODE_PSD_ORACLE
+    return physical_mask(spec, ts * spec.pt_signs, mode, eps_psd)
 
 
 def is_ppt(spec: ModelSpec, t, eps_psd: float = DEFAULT_EPS_PSD) -> bool:
@@ -485,10 +525,9 @@ def extremal_states() -> list:
     return records
 
 
-def physical_volume(spec: ModelSpec, mode: str | None = None):
-    """Euclidean volume of the physical set in parameter space, or None."""
-    mode = resolve_mode(spec, mode)
-    return _PHYSICAL_VOLUME[(spec.model_id, mode)]
+def physical_volume(spec: ModelSpec, mode: str | None = None) -> float:
+    """Euclidean volume of the physical set in parameter space."""
+    return spec.regions[resolve_mode(spec, mode)].volume
 
 
 def catalog() -> list:
@@ -511,9 +550,7 @@ def catalog() -> list:
                 "physical_modes": list(spec.modes),
                 "default_physical_mode": spec.default_mode,
                 "bounding_box_half_width": spec.box_half,
-                "physical_volume": {
-                    mode: _PHYSICAL_VOLUME[(mid, mode)] for mode in spec.modes
-                },
+                "physical_volume": {m: r.volume for m, r in spec.regions.items()},
                 "note": spec.note,
             }
         )

@@ -9,10 +9,11 @@ fast-forward.  Estimates are therefore bit-identical for a fixed
 (seed, n_samples, stream, chunk_size, physical_mode) regardless of how
 many workers process the chunks.
 
-``n_samples`` counts raw candidate draws.  Models whose physical set is a
-box or prism are sampled directly (every draw physical); the others use
-rejection from the tight per-model bounding box, and ``n_physical``
-records how many draws were accepted.  Probabilities are conditional on
+``n_samples`` counts raw candidate draws.  Where the mode's region
+(``models.ModelSpec.regions``) maps the unit cube onto the set - the prism
+and the cube - every draw is physical; other regions, and "psd_oracle" mode
+always, reject from the tight bounding box, and ``n_physical`` records how
+many draws were accepted.  Probabilities are conditional on
 physicality: p = hits / n_physical with the binomial standard error
 sqrt(p(1-p)/n_physical) (for the low-discrepancy stream this is the
 nominal iid-equivalent figure, typically conservative).
@@ -41,21 +42,6 @@ STREAM_PSEUDO = "pseudo"
 STREAM_LDS = "low_discrepancy"
 
 _MIN_ACCEPTANCE = 1e-3
-
-# Analytic supremum of (|t1|+|t2|+|t3|)^2 over the physical set, where known.
-_L1SQ_SUP = {
-    ("M1", models.MODE_ANALYTIC): 1.0,
-    ("M1", models.MODE_PSD_ORACLE): 1.0,
-    ("M2", models.MODE_PAPER_CUBE): 9.0 / 16.0,
-    ("M2", models.MODE_ANALYTIC): 0.25,
-    ("M2", models.MODE_PSD_ORACLE): 0.25,
-    ("M3", models.MODE_ANALYTIC): 9.0,
-    ("M3", models.MODE_PSD_ORACLE): 9.0,
-    ("M4", models.MODE_ANALYTIC): 16.0 / 9.0,
-    ("M4", models.MODE_PSD_ORACLE): 16.0 / 9.0,
-    ("M5", models.MODE_PSD_ORACLE): None,
-}
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -123,31 +109,13 @@ def _chunk_uniforms(cfg: SamplerConfig, chunk_index: int, count: int) -> np.ndar
         return engine.random(count)
 
 
-def _is_direct(spec: models.ModelSpec, mode: str) -> bool:
-    return (spec.model_id, mode) in (
-        ("M1", models.MODE_ANALYTIC),
-        ("M2", models.MODE_ANALYTIC),
-        ("M2", models.MODE_PAPER_CUBE),
-    )
+def _direct_map(spec: models.ModelSpec, mode: str):
+    """The region's map of unit-cube uniforms onto the set, or None for rejection.
 
-
-def _map_points(spec: models.ModelSpec, mode: str, u: np.ndarray) -> np.ndarray:
-    """Map unit-cube uniforms onto the sampling region (direct set or box)."""
-    mid = spec.model_id
-    if mid == "M1" and mode == models.MODE_ANALYTIC:
-        # t2 uniform on its interval; (t1, t3) uniform on the diamond via the
-        # measure-preserving square-to-diamond affine map.
-        t1 = (u[:, 0] + u[:, 1] - 1.0) / 2.0
-        t3 = (u[:, 0] - u[:, 1]) / 2.0
-        t2 = u[:, 2] - 0.5
-        return np.column_stack([t1, t2, t3])
-    if mid == "M2" and mode == models.MODE_ANALYTIC:
-        t1 = (u[:, 0] + u[:, 1] - 1.0) / 4.0
-        t3 = (u[:, 0] - u[:, 1]) / 4.0
-        t2 = (u[:, 2] - 0.5) / 2.0
-        return np.column_stack([t1, t2, t3])
-    h = spec.box_half
-    return (2.0 * u - 1.0) * h  # cube/bounding box, also the M2 paper_cube domain
+    "psd_oracle" mode always rejects from the box, so that the oracle stays an
+    independent check of the closed-form regions.
+    """
+    return None if mode == models.MODE_PSD_ORACLE else spec.regions[mode].direct
 
 
 def _chunk_len(cfg: SamplerConfig, chunk_index: int) -> int:
@@ -161,14 +129,12 @@ def _n_chunks(cfg: SamplerConfig) -> int:
 
 def _chunk_points(spec, cfg, mode, chunk_index, eps_psd):
     """Raw points of one chunk plus their physicality mask."""
-    count = _chunk_len(cfg, chunk_index)
-    u = _chunk_uniforms(cfg, chunk_index, count)
-    pts = _map_points(spec, mode, u)
-    if _is_direct(spec, mode):
-        mask = np.ones(len(pts), dtype=bool)
-    else:
-        mask = models.physical_mask(spec, pts, mode, eps_psd)
-    return pts, mask
+    u = _chunk_uniforms(cfg, chunk_index, _chunk_len(cfg, chunk_index))
+    direct = _direct_map(spec, mode)
+    if direct is not None:
+        return direct(u), np.ones(len(u), dtype=bool)
+    pts = (2.0 * u - 1.0) * spec.box_half
+    return pts, models.physical_mask(spec, pts, mode, eps_psd)
 
 
 def sample_physical(spec, cfg: SamplerConfig, eps_psd: float = DEFAULT_EPS_PSD):
@@ -227,7 +193,7 @@ def count_constraint(
     n_raw = sum(r[0] for r in results)
     n_phys = sum(r[1] for r in results)
     n_hits = sum(r[2] for r in results)
-    if not _is_direct(spec, mode) and n_phys < _MIN_ACCEPTANCE * n_raw:
+    if _direct_map(spec, mode) is None and n_phys < _MIN_ACCEPTANCE * n_raw:
         raise ConfigurationError(
             f"rejection acceptance rate {n_phys / n_raw:.2e} below {_MIN_ACCEPTANCE}; "
             f"the bounding box for model {spec.model_id} looks wrong"
@@ -276,7 +242,7 @@ def samples_for_physical(spec, cfg: SamplerConfig, n_physical: int) -> SamplerCo
     gauge the acceptance rate, then pad by 10 percent.
     """
     mode = models.resolve_mode(spec, cfg.physical_mode)
-    if _is_direct(spec, mode):
+    if _direct_map(spec, mode) is not None:
         return replace(cfg, n_samples=n_physical)
     pilot = replace(cfg, n_samples=max(4 * cfg.chunk_size, 20000))
     raw, phys, _ = count_constraint(spec, "multiplicative", pilot)
@@ -291,15 +257,15 @@ def emptiness_check(
 ) -> dict:
     """Report whether the additive constraint can ever hold on the physical set.
 
-    Gives the supremum of (|t1|+|t2|+|t3|)^2 over the physical set (closed
-    form where available, otherwise the sampled maximum) and the number of
-    strict constraint hits among the physical samples.  For M1 and M2 the
-    supremum does not exceed the threshold, so the hit count must be zero.
+    Gives the region's closed-form supremum of (|t1|+|t2|+|t3|)^2, the
+    sampled maximum and the number of strict constraint hits among the
+    physical samples.  For M1 and M2 the supremum does not exceed the
+    threshold, so the hit count must be zero.
     """
     cfg = cfg or SamplerConfig()
     mode = models.resolve_mode(spec, cfg.physical_mode)
     threshold = spec.additive_threshold
-    analytic_sup = _L1SQ_SUP[(spec.model_id, mode)]
+    analytic_sup = spec.regions[mode].l1sq_sup
     n_phys = hits = 0
     sampled_sup = 0.0
     for chunk in sample_physical(spec, cfg, eps_psd):
@@ -308,7 +274,7 @@ def emptiness_check(
             l1sq = np.sum(np.abs(chunk), axis=1) ** 2
             sampled_sup = max(sampled_sup, float(l1sq.max()))
             hits += int(np.count_nonzero(l1sq > threshold))
-    empty = hits == 0 and (analytic_sup is None or analytic_sup <= threshold)
+    empty = hits == 0 and analytic_sup <= threshold
     return {
         "model": spec.model_id,
         "constraint": "additive",

@@ -11,15 +11,20 @@ The two bound-entanglement probabilities have exact expressions:
 
 All radicals and integer constants inside the formulas are evaluated from
 exact expressions at call time; reported reference decimals appear only as
-verification targets.
+verification targets.  ``reference_probabilities`` is the one table of
+reference values that Monte Carlo estimates are compared with.
 """
 
 import math
 from dataclasses import dataclass, field
 
+from .models import MODE_ANALYTIC, MODE_PAPER_CUBE, MODE_PSD_ORACLE
+
 # Reference decimals the closed forms are verified against.
 P1_REFERENCE = 0.08655423366978987
 P2_REFERENCE = 0.0890496
+# Reported multiplicative probability shared by the M3 and M4 families.
+MULT_REFERENCE_M3_M4 = 0.3911855600402
 
 _PI2_6 = math.pi**2 / 6.0
 _SERIES_CUTOFF = 1e-18
@@ -279,3 +284,25 @@ def verify_all() -> list:
 
 def all_passed(checks) -> bool:
     return all(c["passed"] for c in checks)
+
+
+def reference_probabilities() -> dict:
+    """Reference probability per (model id, constraint, physical mode).
+
+    The M1 and M2 closed forms, the reported M3/M4 values and M5's empty
+    entangled region.
+    """
+    half_minus_mult = 0.5 - MULT_REFERENCE_M3_M4
+    table = {
+        ("M1", "multiplicative", MODE_ANALYTIC): p1_simplified().value,
+        ("M1", "additive", MODE_ANALYTIC): 0.0,
+        ("M2", "multiplicative", MODE_PAPER_CUBE): p2_closed().value,
+        ("M2", "additive", MODE_PAPER_CUBE): 0.0,
+        ("M5", "multiplicative", MODE_PSD_ORACLE): 0.0,
+    }
+    for mid in ("M3", "M4"):
+        table[(mid, "multiplicative", MODE_ANALYTIC)] = MULT_REFERENCE_M3_M4
+        table[(mid, "additive", MODE_ANALYTIC)] = 0.5
+        table[(mid, "non_ppt", MODE_ANALYTIC)] = 0.5
+        table[(mid, "additive_minus_mult", MODE_ANALYTIC)] = half_minus_mult
+    return table

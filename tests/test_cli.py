@@ -165,10 +165,28 @@ class TestBounds:
 
 
 class TestConfigFile:
-    def test_invalid_config_value_is_usage_error(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"constraint": "bogus"}))
-        assert cli.main(["prob", "M1", "--config", str(cfg)]) == 2
+    @pytest.mark.parametrize(
+        "argv,values",
+        [
+            (["prob", "M1"], {"constraint": "bogus"}),
+            (["prob", "M1"], {"sample": 5}),  # unknown key, not silently ignored
+            (["prob", "M1"], {"samples": "many"}),
+            (["prob", "M1"], {"eps_psd": -1}),
+            (["export", "M1", "--out", "cloud.csv"], {"format": "xyz"}),
+        ],
+        ids=["constraint", "unknown_key", "samples_type", "eps_psd_range", "format_choice"],
+    )
+    def test_invalid_config_value_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, argv, values
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(values))
+        assert cli.main([*argv, "--config", "cfg.json"]) == 2
+        assert next(iter(values)) in capsys.readouterr().err
+
+    def test_negative_eps_psd_flag_is_usage_error(self, capsys):
+        assert cli.main(["prob", "M1", "--eps-psd", "-1"]) == 2
+        assert "--eps-psd" in capsys.readouterr().err
 
     def test_config_supplies_defaults_flags_win(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

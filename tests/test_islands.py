@@ -179,6 +179,22 @@ class TestExport:
                 M1, tmp_path / "x.csv", resolution=41, fmt="stl"
             )
 
+    def test_labels_use_requested_mode(self, tmp_path, monkeypatch):
+        modes = []
+        mask = models.physical_mask
+
+        def spy(spec, ts, mode=None, *rest):
+            modes.append(mode)
+            return mask(spec, ts, mode, *rest)
+
+        monkeypatch.setattr(models, "physical_mask", spy)
+        islands.export_point_cloud(
+            M1, tmp_path / "x.csv", resolution=33, physical_mode=models.MODE_PSD_ORACLE
+        )
+        # the occupancy grid and the point labels both use the requested mode
+        assert None not in modes
+        assert modes.count(models.MODE_PSD_ORACLE) == 2
+
     def test_io_error_has_path_context(self, tmp_path):
         bad = tmp_path / "missing" / "x.csv"
         with pytest.raises(OSError, match="missing"):

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,82 @@ class TestPhysicalPredicates:
             models.physical_mask(spec, pts[keep], models.MODE_ANALYTIC),
             models.physical_mask(spec, pts[keep], models.MODE_PSD_ORACLE),
         )
+
+
+@lru_cache(maxsize=None)
+def _box_sample(model_id):
+    """2e5 seeded points uniform on the model's box and their eigen-oracle verdicts."""
+    spec = models.get_model(model_id)
+    rng = np.random.default_rng(40)
+    pts = rng.uniform(-spec.box_half, spec.box_half, (200_000, 3))
+    oracle = np.concatenate(
+        [
+            models.physical_mask(spec, chunk, models.MODE_PSD_ORACLE)
+            for chunk in np.array_split(pts, 10)  # bounds the 16x16 M2 stacks
+        ]
+    )
+    return pts, oracle
+
+
+def _l1_witness(region):
+    """A point of the region where (|t1|+|t2|+|t3|)^2 reaches its supremum."""
+    a = region.size
+    return {
+        models.Prism: (a, a, 0.0),
+        models.Cube: (a, a, a),
+        models.Tetrahedron: (a, a, -a),
+        models.Ball: (a / np.sqrt(3.0),) * 3,
+    }[type(region)]
+
+
+class TestRegions:
+    @pytest.mark.parametrize(
+        "model_id,mode",
+        [(mid, mode) for mid, spec in sorted(models.MODELS.items()) for mode in spec.modes],
+    )
+    def test_region_record_matches_reference_set(self, model_id, mode):
+        spec = models.get_model(model_id)
+        region = spec.regions[mode]
+        pts, oracle = _box_sample(model_id)
+
+        cube = mode == models.MODE_PAPER_CUBE  # the documented domain, not the PSD set
+
+        def inside(ts):
+            if cube:
+                return np.max(np.abs(ts), axis=1) <= 0.25
+            return models.physical_mask(spec, ts, models.MODE_PSD_ORACLE)
+
+        ref = inside(pts) if cube else oracle
+        box_volume = (2.0 * spec.box_half) ** 3
+        p = ref.mean()
+        sigma = box_volume * np.sqrt(p * (1.0 - p) / len(pts))
+        assert abs(models.physical_volume(spec, mode) - box_volume * p) <= 5.0 * sigma
+
+        margin = models.physical_margin(spec, pts, mode)
+        keep = np.abs(margin) > 1e-9
+        assert np.array_equal(margin[keep] >= 0.0, ref[keep])
+
+        l1sq = np.sum(np.abs(pts[ref]), axis=1) ** 2
+        assert l1sq.max() <= region.l1sq_sup
+        witness = np.array(_l1_witness(region))
+        assert inside(witness[None, :])[0]
+        assert np.sum(np.abs(witness)) ** 2 == pytest.approx(region.l1sq_sup, rel=1e-12)
+
+
+    @pytest.mark.parametrize("model_id", ["M1", "M2"])
+    def test_prism_margin_sign_is_the_face_comparison(self, model_id):
+        # Points up to two ulps either side of the face |t1| + |t3| = a.
+        spec = models.get_model(model_id)
+        a = spec.box_half
+        t1 = np.random.default_rng(41).uniform(0.0, a, 20_000)
+        t3 = a - t1
+        for step in (-np.inf, np.inf):
+            for t3k in (t3, np.nextafter(t3, step), np.nextafter(np.nextafter(t3, step), step)):
+                ts = np.column_stack([t1, np.zeros_like(t1), t3k])
+                inside = np.abs(ts[:, 0]) + np.abs(ts[:, 2]) <= a
+                margin = models.physical_margin(spec, ts, models.MODE_ANALYTIC)
+                assert np.array_equal(margin >= 0.0, inside)
+                assert np.array_equal(models.physical_mask(spec, ts, models.MODE_ANALYTIC), inside)
 
 
 class TestPpt:

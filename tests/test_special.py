@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import spence
 
-from entarch import special
+from entarch import models, sampling, special
 
 
 def dilog_oracle(x: float) -> float:
@@ -134,3 +134,11 @@ def test_verify_all_detects_mutation(monkeypatch):
     monkeypatch.setattr(special, "dilog", lambda x: original(x) + 1e-6)
     checks = special.verify_all()
     assert not special.all_passed(checks)
+
+
+def test_reference_table_keys_name_real_runs():
+    table = special.reference_probabilities()
+    assert table[("M3", "multiplicative", "analytic")] == 0.3911855600402
+    for model_id, constraint, mode in table:
+        assert mode in models.get_model(model_id).modes
+        assert constraint in sampling.CONSTRAINTS
