@@ -2,8 +2,9 @@
 
 The multiplicative constraint |t1 t2 t3| > c excludes the coordinate
 planes, so the entangled set splits into disjoint components, one per
-sign octant for M1 and M2.  Voxel centers are classified and grouped by
-6-connected union-find; CSV/PLY exports feed external plotting tools.
+sign octant for M1 and M2.  Voxel centers are classified and grouped into
+face-connected (6-connected) components; CSV/PLY exports feed external
+plotting tools.
 """
 import entarch as ea
 

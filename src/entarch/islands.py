@@ -1,17 +1,18 @@
 """Voxel-grid enumeration of the disjoint components of a constrained region.
 
-Voxel centers are classified by (physical AND constraint); occupied voxels
-are grouped with union-find under 6-connectivity (face adjacency).  Odd
-resolutions keep the grid sign-symmetric, with the middle voxel layer
-centered on each coordinate plane; strict constraints of the form
-|t1 t2 t3| > c leave that layer empty, so sign octants can never merge.
-26-connectivity could bridge octants diagonally and is deliberately not
-offered.
+Voxel centers are classified by (physical AND constraint), one t1 plane at
+a time; occupied voxels are grouped by ``scipy.ndimage.label`` under its
+default 6-connectivity (face adjacency).  Odd resolutions keep the grid
+sign-symmetric, with the middle voxel layer centered on each coordinate
+plane; strict constraints of the form |t1 t2 t3| > c leave that layer
+empty, so sign octants can never merge.  26-connectivity could bridge
+octants diagonally and is deliberately not offered.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from . import models
 from .errors import ContractViolation
@@ -77,33 +78,6 @@ class IslandReport:
         }
 
 
-class UnionFind:
-    """Array-backed union-find with path halving and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return int(i)
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def labels(self) -> np.ndarray:
-        return np.fromiter((self.find(i) for i in range(len(self.parent))), dtype=np.int64)
-
-
 def grid_axis(resolution: int, half: float) -> np.ndarray:
     """Voxel-center coordinates along one axis of the [-half, half] box."""
     return (np.arange(resolution) + 0.5) * (2.0 * half / resolution) - half
@@ -129,54 +103,33 @@ def label_components(occupied: np.ndarray) -> tuple:
     """6-connected components of a boolean 3-d grid.
 
     Returns (labels, count): ``labels`` assigns each occupied voxel (in
-    C-order over the flattened grid) a component id in 0..count-1.
+    C-order over the flattened grid) a component id in 0..count-1, numbered
+    in the scan order of each component's first voxel.
     """
-    flat_idx = np.flatnonzero(occupied.ravel())
-    n_occ = len(flat_idx)
-    if n_occ == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    uf = UnionFind(n_occ)
-    shape = occupied.shape
-    strides = (shape[1] * shape[2], shape[2], 1)
-    compact = np.full(occupied.size, -1, dtype=np.int64)
-    compact[flat_idx] = np.arange(n_occ)
-    for axis in range(3):
-        sl_lo = [slice(None)] * 3
-        sl_hi = [slice(None)] * 3
-        sl_lo[axis] = slice(0, shape[axis] - 1)
-        sl_hi[axis] = slice(1, shape[axis])
-        pair = occupied[tuple(sl_lo)] & occupied[tuple(sl_hi)]
-        coords = np.nonzero(pair)
-        if len(coords[0]) == 0:
-            continue
-        lin_lo = coords[0] * strides[0] + coords[1] * strides[1] + coords[2] * strides[2]
-        for lo in lin_lo:
-            uf.union(compact[lo], compact[lo + strides[axis]])
-    roots = uf.labels()
-    _, labels = np.unique(roots, return_inverse=True)
-    return labels.astype(np.int64), int(labels.max()) + 1
+    grid, count = ndimage.label(occupied)
+    return grid[occupied].astype(np.int64) - 1, count
 
 
 def _islands_full(spec, constraint, resolution, mode, eps_psd):
     """Shared worker: (report, occupied voxel centers, ranked island id per voxel)."""
     _validate_resolution(resolution)
+    # One t1 plane per call bounds the oracle's state stack at res^2 matrices.
     pts_all = _grid_points(spec, resolution)
-    cmask = constraint_mask(spec, pts_all, constraint, eps_psd)
-    pmask = models.physical_mask(spec, pts_all, mode, eps_psd)
+    planes = np.split(pts_all, resolution)
+    cmask = np.concatenate([constraint_mask(spec, p, constraint, eps_psd) for p in planes])
+    pmask = np.concatenate([models.physical_mask(spec, p, mode, eps_psd) for p in planes])
     occupied = (cmask & pmask).reshape(resolution, resolution, resolution)
     n_physical = int(np.count_nonzero(pmask))
     labels, count = label_components(occupied)
-    flat_idx = np.flatnonzero(occupied.ravel())
-    pts = pts_all[flat_idx]
+    pts = pts_all[occupied.ravel()]
     half = spec.box_half
     voxel_volume = (2.0 * half / resolution) ** 3
 
-    members_of = [np.flatnonzero(labels == cid) for cid in range(count)]
-    # Rank by voxel count descending; ties broken by first voxel in scan order.
-    order = sorted(
-        range(count), key=lambda cid: (-len(members_of[cid]), int(flat_idx[members_of[cid][0]]))
-    )
-    ranked_ids = np.zeros(len(flat_idx), dtype=np.int64)
+    sizes = np.bincount(labels, minlength=count)
+    members_of = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+    # Rank by voxel count descending; ties keep label order, the scan order of first voxels.
+    order = np.argsort(-sizes, kind="stable")
+    ranked_ids = np.zeros(len(pts), dtype=np.int64)
     islands = []
     for rank, cid in enumerate(order, start=1):
         members = members_of[cid]
@@ -204,7 +157,7 @@ def _islands_full(spec, constraint, resolution, mode, eps_psd):
         island_count=count,
         islands=tuple(islands),
         physical_voxels=n_physical,
-        occupied_voxels=int(len(flat_idx)),
+        occupied_voxels=int(len(pts)),
         voxel_volume=voxel_volume,
     )
     return report, pts, ranked_ids

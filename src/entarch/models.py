@@ -66,10 +66,10 @@ MODE_PAPER_CUBE = "paper_cube"
 class Region:
     """A solid scaled by ``size``, its bounding half-width.
 
-    Subclasses give the volume VOLUME and the supremum L1SQ of
-    (|t1|+|t2|+|t3|)^2 at size 1, the signed ``margin`` (positive inside) and
-    optionally ``direct``, a measure-preserving map of unit-cube uniforms
-    onto the set.
+    Subclasses give the volume VOLUME, the supremum L1SQ of
+    (|t1|+|t2|+|t3|)^2 and the supremum PROD of |t1 t2 t3| at size 1, the
+    signed ``margin`` (positive inside) and optionally ``direct``, a
+    measure-preserving map of unit-cube uniforms onto the set.
     """
 
     size: float
@@ -83,11 +83,16 @@ class Region:
     def l1sq_sup(self) -> float:
         return self.L1SQ * self.size**2
 
+    @property
+    def abs_product_sup(self) -> float:
+        return self.PROD * self.size**3
+
 
 class Prism(Region):
-    """{|t2| <= a, |t1| + |t3| <= a}; the l1 supremum is at (a, a, 0)."""
+    """{|t2| <= a, |t1| + |t3| <= a}; the l1 supremum is at (a, a, 0) and that of
+    |t1 t2 t3| at (a/2, a, a/2)."""
 
-    VOLUME, L1SQ = 4.0, 4.0
+    VOLUME, L1SQ, PROD = 4.0, 4.0, 0.25
 
     def margin(self, ts):
         # a - max(|t2|, |t1| + |t3|) rather than (a - |t1|) - |t3|: its sign is
@@ -105,9 +110,9 @@ class Prism(Region):
 
 
 class Cube(Region):
-    """[-a, a]^3; the l1 supremum is at (a, a, a)."""
+    """[-a, a]^3; the l1 and |t1 t2 t3| suprema are at (a, a, a)."""
 
-    VOLUME, L1SQ = 8.0, 9.0
+    VOLUME, L1SQ, PROD = 8.0, 9.0, 1.0
 
     def margin(self, ts):
         return self.size - np.max(np.abs(ts), axis=1)
@@ -117,12 +122,13 @@ class Cube(Region):
 
 
 class Tetrahedron(Region):
-    """Vertices s(1,1,-1), s(1,-1,1), s(-1,1,1), s(-1,-1,-1), where the l1 supremum is.
+    """Vertices s(1,1,-1), s(1,-1,1), s(-1,1,1), s(-1,-1,-1), where the l1 and
+    |t1 t2 t3| suprema are.
 
     The margin is the least face form s +- t1 +- t2 +- t3 (even plus signs).
     """
 
-    VOLUME, L1SQ = 8.0 / 3.0, 9.0
+    VOLUME, L1SQ, PROD = 8.0 / 3.0, 9.0, 1.0
 
     def margin(self, ts):
         s = self.size
@@ -134,9 +140,9 @@ class Tetrahedron(Region):
 
 
 class Ball(Region):
-    """{|t|_2 <= r}; the l1 supremum is at r (1, 1, 1) / sqrt(3)."""
+    """{|t|_2 <= r}; the l1 and |t1 t2 t3| suprema are at r (1, 1, 1) / sqrt(3)."""
 
-    VOLUME, L1SQ = 4.0 / 3.0 * np.pi, 3.0
+    VOLUME, L1SQ, PROD = 4.0 / 3.0 * np.pi, 3.0, 3.0**-1.5
 
     def margin(self, ts):
         return self.size - np.sqrt(np.sum(ts * ts, axis=1))

@@ -103,3 +103,12 @@ class TestThresholdConsistency:
         assert rep["consistent"]
         assert rep["scan_hits"] == 0
         assert rep["max_abs_product"] <= rep["threshold_sqrt"] + 1e-9
+
+    @pytest.mark.parametrize("model_id", sorted(models.MODELS))
+    def test_expectation_follows_region_supremum(self, model_id):
+        spec = models.get_model(model_id)
+        rep = bounds.threshold_consistency(spec, restarts=8, seed=0, n_scan=20_000)
+        # restarts=8, seed=0 are maximize's defaults, so this is maximize(spec, "abs_product")
+        region = spec.regions[spec.default_mode]
+        assert rep["max_abs_product"] == pytest.approx(region.abs_product_sup, abs=1e-6)
+        assert rep["expected_empty"] is (model_id == "M5")

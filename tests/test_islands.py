@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import ndimage
 
 from entarch import islands, models
 from entarch.errors import ContractViolation
@@ -11,23 +10,29 @@ M3 = models.get_model("M3")
 M5 = models.get_model("M5")
 
 
-class TestUnionFindLabeling:
-    def test_against_scipy_on_random_blobs(self):
-        rng = np.random.default_rng(41)
-        structure = ndimage.generate_binary_structure(3, 1)  # 6-connectivity
-        for _ in range(20):
-            occ = rng.random((15, 15, 15)) < 0.25
-            labels, count = islands.label_components(occ)
-            _, scipy_count = ndimage.label(occ, structure=structure)
-            assert count == scipy_count
-            # same partition: scipy labels restricted to occupied voxels
-            scipy_lab, _ = ndimage.label(occ, structure=structure)
-            flat = scipy_lab.ravel()[np.flatnonzero(occ.ravel())]
-            # component maps must be refinements of each other
-            for cid in range(count):
-                assert len(set(flat[labels == cid])) == 1
-            for sid in set(flat):
-                assert len(set(labels[flat == sid])) == 1
+class TestLabelComponents:
+    @pytest.mark.parametrize(
+        "voxels, expected",
+        [
+            ([(0, 0, 0), (1, 0, 0)], [0, 0]),  # shared face
+            ([(0, 0, 0), (0, 1, 1)], [0, 1]),  # shared edge only
+            ([(0, 0, 0), (1, 1, 1)], [0, 1]),  # shared corner only
+            # a U whose arms join in the second t1 plane keeps the id of its first
+            # voxel; the lone voxel scanned between the arms comes second
+            (
+                [(0, 0, 0), (0, 0, 2), (0, 2, 0), (1, 0, 0), (1, 0, 1), (1, 0, 2)],
+                [0, 0, 1, 0, 0, 0],
+            ),
+        ],
+        ids=["face", "edge", "corner", "scan_order"],
+    )
+    def test_hand_built_grid(self, voxels, expected):
+        # voxels are listed in C order, the order of the returned labels
+        occ = np.zeros((3, 3, 3), dtype=bool)
+        occ[tuple(np.array(voxels).T)] = True
+        labels, count = islands.label_components(occ)
+        assert labels.tolist() == expected
+        assert count == max(expected) + 1
 
     def test_empty_grid(self):
         labels, count = islands.label_components(np.zeros((5, 5, 5), dtype=bool))
@@ -49,6 +54,19 @@ class TestEnumerateIslands:
         assert len(signatures) == 8
         for sig in signatures:
             assert all(s in (-1, 1) for s in sig)
+
+    def test_oracle_grid_is_classified_one_plane_at_a_time(self, monkeypatch):
+        sizes = []
+        mask = models.physical_mask
+
+        def spy(spec, ts, *rest):
+            sizes.append(len(ts))
+            return mask(spec, ts, *rest)
+
+        monkeypatch.setattr(models, "physical_mask", spy)
+        islands.enumerate_islands(M5, "multiplicative", 33)
+        # the eigen-oracle's state stack never holds more than one t1 plane
+        assert sizes and max(sizes) <= 33**2
 
     def test_m5_empty_archipelago(self):
         rep = islands.enumerate_islands(M5, "multiplicative", 81)
@@ -191,9 +209,10 @@ class TestExport:
         islands.export_point_cloud(
             M1, tmp_path / "x.csv", resolution=33, physical_mode=models.MODE_PSD_ORACLE
         )
-        # the occupancy grid and the point labels both use the requested mode
+        # the occupancy grid (one call per t1 plane) and the point labels both
+        # use the requested mode
         assert None not in modes
-        assert modes.count(models.MODE_PSD_ORACLE) == 2
+        assert modes.count(models.MODE_PSD_ORACLE) == 33 + 1
 
     def test_io_error_has_path_context(self, tmp_path):
         bad = tmp_path / "missing" / "x.csv"
