@@ -68,18 +68,17 @@ _DIRS = _directions()
 
 
 def _objective(name, t):
+    """Objective value of each row of ``t``."""
     if name == "abs_product":
-        return abs(t[0] * t[1] * t[2])
-    return float(np.sum(np.abs(t)))
+        return np.abs(t[:, 0] * t[:, 1] * t[:, 2])
+    return np.sum(np.abs(t), axis=1)
 
 
 def _feasible_fn(spec, feasible_set, mode, eps_psd):
+    """A function from an (n, 3) point array to its feasibility mask."""
     if feasible_set == "physical":
-        return lambda t: bool(models.physical_mask(spec, t[None, :], mode, eps_psd)[0])
-    return lambda t: bool(
-        models.physical_mask(spec, t[None, :], mode, eps_psd)[0]
-        and models.ppt_mask(spec, t[None, :], eps_psd)[0]
-    )
+        return lambda t: models.physical_mask(spec, t, mode, eps_psd)
+    return lambda t: models.physical_mask(spec, t, mode, eps_psd) & models.ppt_mask(spec, t, eps_psd)
 
 
 def _start_points(spec, restarts, seed):
@@ -97,24 +96,19 @@ def _start_points(spec, restarts, seed):
 
 
 def _pattern_search(objective, feasible, x0, step0):
+    """Greedy polling: all 18 stencil points in one feasibility call; move to the
+    first direction with the largest improving value, else halve the step."""
     x = x0.copy()
-    best = _objective(objective, x)
+    best = _objective(objective, x[None])[0]
     step = step0
     while step > _STEP_MIN:
-        cand_best = None
-        cand_val = best
-        for d in _DIRS:
-            c = x + step * d
-            if not feasible(c):
-                continue
-            v = _objective(objective, c)
-            if v > cand_val:
-                cand_val = v
-                cand_best = c
-        if cand_best is None:
-            step *= 0.5
+        cands = x + step * _DIRS
+        values = np.where(feasible(cands), _objective(objective, cands), -np.inf)
+        k = np.argmax(values)
+        if values[k] > best:
+            x, best = cands[k], values[k]
         else:
-            x, best = cand_best, cand_val
+            step *= 0.5
     return x, best
 
 
@@ -148,7 +142,7 @@ def maximize(
     for x0 in _start_points(spec, restarts, seed):
         x = x0.copy()
         for _ in range(_SHRINK_TRIES):
-            if feasible(x):
+            if feasible(x[None])[0]:
                 break
             x *= 0.5
         else:
@@ -169,7 +163,7 @@ def maximize(
         best_point=tuple(float(v) for v in best_x),
         best_value=float(best_v),
         restarts=restarts,
-        feasible=feasible(best_x),
+        feasible=bool(feasible(best_x[None])[0]),
     )
 
 

@@ -6,22 +6,22 @@ timestamp is carried in a separate top-level field so the rest of the
 payload is byte-identical across repeated runs with the same arguments.
 Diagnostics go to stderr.
 
+``OPTIONS`` is the one place a flag is defined: its type, choices and
+default, its ``--config`` key and its echo in the run record.
+
 Exit codes: 0 success, 2 usage error, 3 numeric/contract failure, 4 I/O error.
 """
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 from . import __version__, bounds, islands, models, sampling, special
 from .errors import EntarchError
-
-_CONSTRAINT_FLAGS = {c.replace("_", "-"): c for c in sampling.CONSTRAINTS}
-_MODE_FLAGS = {m.replace("_", "-"): m for s in models.MODELS.values() for m in s.modes}
-_METHOD_FLAGS = {"mc": sampling.STREAM_PSEUDO, "lds": sampling.STREAM_LDS}
-_OBJECTIVE_FLAGS = {"product": "abs_product", "l1": "l1_norm"}
-_SET_FLAGS = {"physical": "physical", "ppt": "ppt_and_physical"}
+from .linalg import DEFAULT_EPS_PSD
 
 
 class UsageError(Exception):
@@ -36,38 +36,102 @@ def nonnegative_float(text):
     return value
 
 
-def _load_config(args):
-    """``--config FILE`` values, checked with the subcommand's own flag types and choices."""
-    if args.config is None:
-        return {}
-    with open(args.config, encoding="utf-8") as fh:
-        raw = json.load(fh)
+def finite_float(text):
+    """argparse type for coordinates: a float that is neither nan nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+class Option(NamedTuple):
+    """One flag, ``--key`` unless ``flag`` says otherwise, and the config key ``key``.
+
+    ``choices`` maps each flag spelling to the library value it selects; the
+    resolved (library) value is what the run record echoes.
+    """
+
+    key: str
+    type: Callable = str
+    choices: dict | None = None
+    default: object = None
+    flag: str | None = None
+
+
+_CONSTRAINT = Option(
+    "constraint", choices={c.replace("_", "-"): c for c in sampling.CONSTRAINTS}, default="multiplicative"
+)
+_MODE = Option(
+    "physical_mode", choices={m.replace("_", "-"): m for s in models.MODELS.values() for m in s.modes}
+)
+_EPS_PSD = Option("eps_psd", nonnegative_float, default=DEFAULT_EPS_PSD)
+_SEED = Option("seed", int, default=0)
+
+# Keys are the library's parameter names wherever those exist, so handlers
+# can pass the resolved options on as keyword arguments.
+OPTIONS = {
+    "prob": (
+        _CONSTRAINT, Option("method", choices={"lds": "lds", "mc": "mc"}, default="mc"),
+        Option("samples", int, default=1_000_000), _SEED, Option("chunk", int, default=65536),
+        _MODE, _EPS_PSD,
+    ),
+    "classify": (_EPS_PSD, _MODE),
+    "islands": (_CONSTRAINT, Option("resolution", int, default=121), _MODE, _EPS_PSD),
+    "export": (
+        _CONSTRAINT, Option("resolution", int), Option("samples", int),
+        Option("format", choices={"csv": "csv", "ply": "ply"}, default="csv"), _SEED, _MODE,
+    ),
+    "bounds": (
+        Option("objective", choices={"l1": "l1_norm", "product": "abs_product"}, default="product"),
+        Option(
+            "feasible_set",
+            choices={"physical": "physical", "ppt": "ppt_and_physical"},
+            default="physical",
+            flag="--set",
+        ),
+        Option("restarts", int, default=24), _SEED,
+    ),
+}
+
+
+def _config_file(path, options):
+    """``--config`` values, checked with the same types and choices as the flags."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise UsageError(f"config file {args.config} must hold a JSON object")
-    actions = {
-        a.dest: a
-        for a in args.parser._actions
-        if a.option_strings and a.nargs != 0 and not a.required and a.dest != "config"
-    }
+        raise UsageError(f"config file {path} must hold a JSON object")
+    by_key = {opt.key: opt for opt in options}
     config = {}
     for key, value in raw.items():
-        action = actions.get(str(key).replace("-", "_"))
-        if action is None:
-            raise UsageError(f"unknown config key {key!r}; choose from {', '.join(sorted(actions))}")
+        opt = by_key.get(key.replace("-", "_"))
+        if opt is None:
+            raise UsageError(f"unknown config key {key!r}; choose from {', '.join(sorted(by_key))}")
         text = value if isinstance(value, str) else json.dumps(value)
         try:
-            config[action.dest] = (action.type or str)(text)
+            config[opt.key] = opt.type(text)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"config value {key}={value!r}: {exc}") from None
-        if action.choices is not None and config[action.dest] not in action.choices:
-            raise UsageError(f"config value {key}={value!r}; choose from {', '.join(action.choices)}")
+        if opt.choices is not None and config[opt.key] not in opt.choices:
+            choices = ", ".join(sorted(opt.choices))
+            raise UsageError(f"config value {key}={value!r}; choose from {choices}")
     return config
 
 
-def _resolve(args, config, key, default):
-    """The flag's value, else the config file's, else ``default``."""
-    value = getattr(args, key, None)
-    return value if value is not None else config.get(key, default)
+def resolve_options(args) -> dict:
+    """Each option's library value: from the flag, else the config file, else the default."""
+    options = OPTIONS.get(args.subcommand, ())
+    path = getattr(args, "config", None)
+    config = _config_file(path, options) if path is not None else {}
+    resolved = {}
+    for opt in options:
+        value = getattr(args, opt.key)
+        if value is None:
+            value = config.get(opt.key, opt.default)
+        resolved[opt.key] = opt.choices[value] if opt.choices and value is not None else value
+    return resolved
 
 
 def _get_model(name):
@@ -80,177 +144,80 @@ def _get_model(name):
         ) from None
 
 
-def _record(command, config, result):
-    return {
-        "command": command,
-        "config": config,
-        "version": __version__,
-        "result": result,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
+def cmd_list_models(args, cfg):
+    return cfg, {"models": models.catalog()}
 
 
-def _emit(record):
-    print(json.dumps(record, sort_keys=True, indent=2))
-
-
-def cmd_list_models(args):
-    record = _record("list-models", {}, {"models": models.catalog()})
-    _emit(record)
-    return 0
-
-
-def cmd_prob(args):
-    config = _load_config(args)
+def cmd_prob(args, cfg):
     spec = _get_model(args.model)
-    constraint = _CONSTRAINT_FLAGS[_resolve(args, config, "constraint", "multiplicative")]
-    method = _resolve(args, config, "method", "mc")
-    samples = int(_resolve(args, config, "samples", 1_000_000))
-    seed = int(_resolve(args, config, "seed", 0))
-    chunk = int(_resolve(args, config, "chunk", 65536))
-    mode_flag = _resolve(args, config, "physical_mode", None)
-    mode = models.resolve_mode(spec, _MODE_FLAGS[mode_flag] if mode_flag else None)
-    eps_psd = float(_resolve(args, config, "eps_psd", 1e-12))
-    cfg = sampling.SamplerConfig(
-        seed=seed,
-        n_samples=samples,
-        stream=_METHOD_FLAGS[method],
-        chunk_size=chunk,
+    cfg["physical_mode"] = mode = models.resolve_mode(spec, cfg["physical_mode"])
+    stream = sampling.STREAM_PSEUDO if cfg["method"] == "mc" else sampling.STREAM_LDS
+    sampler = sampling.SamplerConfig(
+        seed=cfg["seed"], n_samples=cfg["samples"], stream=stream, chunk_size=cfg["chunk"],
         physical_mode=mode,
     )
-    est = sampling.estimate_probability(spec, constraint, cfg, eps_psd=eps_psd)
+    est = sampling.estimate_probability(spec, cfg["constraint"], sampler, cfg["eps_psd"])
     result = est.as_dict()
     if args.compare_closed_form:
-        closed = special.reference_probabilities().get((spec.model_id, constraint, mode))
+        closed = special.reference_probabilities().get((spec.model_id, cfg["constraint"], mode))
         if closed is not None:
             result["closed_form"] = closed
             if est.std_error > 0:
                 result["sigmas_from_closed_form"] = (est.probability - closed) / est.std_error
-    cfg_echo = {
-        "model": spec.model_id,
-        "constraint": constraint,
-        "method": method,
-        "samples": samples,
-        "seed": seed,
-        "chunk": chunk,
-        "physical_mode": mode,
-        "eps_psd": eps_psd,
-        "compare_closed_form": bool(args.compare_closed_form),
-    }
-    _emit(_record("prob", cfg_echo, result))
-    return 0
+    return {"model": spec.model_id, **cfg, "compare_closed_form": args.compare_closed_form}, result
 
 
-def cmd_classify(args):
-    config = _load_config(args)
+def cmd_classify(args, cfg):
     spec = _get_model(args.model)
-    point = (float(args.t1), float(args.t2), float(args.t3))
-    eps_psd = float(_resolve(args, config, "eps_psd", 1e-12))
-    mode_flag = _resolve(args, config, "physical_mode", None)
-    mode = models.resolve_mode(spec, _MODE_FLAGS[mode_flag] if mode_flag else None)
-    verdict = models.classify(spec, point, eps_psd=eps_psd, physical_mode=mode)
+    cfg["physical_mode"] = models.resolve_mode(spec, cfg["physical_mode"])
+    point = (args.t1, args.t2, args.t3)
+    verdict = models.classify(spec, point, **cfg)
     result = {"model": spec.model_id, "t": list(point), **verdict.as_dict()}
-    cfg_echo = {
-        "model": spec.model_id,
-        "t1": point[0],
-        "t2": point[1],
-        "t3": point[2],
-        "eps_psd": eps_psd,
-        "physical_mode": mode,
-    }
-    _emit(_record("classify", cfg_echo, result))
-    return 0
+    return {"model": spec.model_id, "t1": args.t1, "t2": args.t2, "t3": args.t3, **cfg}, result
 
 
-def cmd_islands(args):
-    config = _load_config(args)
+def cmd_islands(args, cfg):
     spec = _get_model(args.model)
-    constraint = _CONSTRAINT_FLAGS[_resolve(args, config, "constraint", "multiplicative")]
-    resolution = int(_resolve(args, config, "resolution", 121))
-    eps_psd = float(_resolve(args, config, "eps_psd", 1e-12))
-    mode_flag = _resolve(args, config, "physical_mode", None)
-    mode = models.resolve_mode(spec, _MODE_FLAGS[mode_flag] if mode_flag else None)
-    report = islands.enumerate_islands(
-        spec, constraint, resolution, physical_mode=mode, eps_psd=eps_psd
-    )
-    cfg_echo = {
-        "model": spec.model_id,
-        "constraint": constraint,
-        "resolution": resolution,
-        "eps_psd": eps_psd,
-        "physical_mode": mode,
-    }
-    _emit(_record("islands", cfg_echo, report.as_dict()))
-    return 0
+    cfg["physical_mode"] = models.resolve_mode(spec, cfg["physical_mode"])
+    return {"model": spec.model_id, **cfg}, islands.enumerate_islands(spec, **cfg).as_dict()
 
 
-def cmd_export(args):
-    config = _load_config(args)
+def cmd_export(args, cfg):
     spec = _get_model(args.model)
-    constraint = _CONSTRAINT_FLAGS[_resolve(args, config, "constraint", "multiplicative")]
-    fmt = _resolve(args, config, "format", "csv")
-    seed = int(_resolve(args, config, "seed", 0))
-    samples = _resolve(args, config, "samples", None)
-    resolution = _resolve(args, config, "resolution", None)
-    if samples is not None and resolution is not None:
+    if cfg["samples"] is not None and cfg["resolution"] is not None:
         raise UsageError("give either --resolution or --samples, not both")
-    if samples is None and resolution is None:
-        resolution = 121
-    mode_flag = _resolve(args, config, "physical_mode", None)
-    mode = models.resolve_mode(spec, _MODE_FLAGS[mode_flag] if mode_flag else None)
+    if cfg["samples"] is None and cfg["resolution"] is None:
+        cfg["resolution"] = 121
+    cfg["physical_mode"] = models.resolve_mode(spec, cfg["physical_mode"])
     summary = islands.export_point_cloud(
-        spec,
-        args.out,
-        constraint=constraint,
-        resolution=int(resolution) if resolution is not None else None,
-        n_samples=int(samples) if samples is not None else None,
-        fmt=fmt,
-        seed=seed,
-        physical_mode=mode,
+        spec, args.out, cfg["constraint"], resolution=cfg["resolution"], n_samples=cfg["samples"],
+        fmt=cfg["format"], seed=cfg["seed"], physical_mode=cfg["physical_mode"],
     )
-    cfg_echo = {
-        "model": spec.model_id,
-        "constraint": constraint,
-        "resolution": resolution,
-        "samples": samples,
-        "out": str(args.out),
-        "format": fmt,
-        "seed": seed,
-        "physical_mode": mode,
-    }
-    _emit(_record("export", cfg_echo, summary))
-    return 0
+    return {"model": spec.model_id, "out": args.out, **cfg}, summary
 
 
-def cmd_verify(args):
+def cmd_verify(args, cfg):
     checks = special.verify_all()
-    ok = special.all_passed(checks)
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"
         print(f"{status}: {c['name']} (residual {c['residual']:.3e})", file=sys.stderr)
-    _emit(_record("verify", {}, {"checks": checks, "all_passed": ok}))
-    return 0 if ok else 3
+    return cfg, {"checks": checks, "all_passed": special.all_passed(checks)}
 
 
-def cmd_bounds(args):
-    config = _load_config(args)
+def cmd_bounds(args, cfg):
     spec = _get_model(args.model)
-    objective = _OBJECTIVE_FLAGS[_resolve(args, config, "objective", "product")]
-    feasible_set = _SET_FLAGS[_resolve(args, config, "feasible_set", "physical")]
-    restarts = int(_resolve(args, config, "restarts", 24))
-    seed = int(_resolve(args, config, "seed", 0))
-    result = bounds.maximize(
-        spec, objective=objective, feasible_set=feasible_set, restarts=restarts, seed=seed
-    )
-    cfg_echo = {
-        "model": spec.model_id,
-        "objective": objective,
-        "feasible_set": feasible_set,
-        "restarts": restarts,
-        "seed": seed,
-    }
-    _emit(_record("bounds", cfg_echo, result.as_dict()))
-    return 0
+    return {"model": spec.model_id, **cfg}, bounds.maximize(spec, **cfg).as_dict()
+
+
+_COMMANDS = {  # name: (handler, help)
+    "list-models": (cmd_list_models, "model catalog as JSON"),
+    "prob": (cmd_prob, "Monte Carlo / low-discrepancy probability estimate"),
+    "classify": (cmd_classify, "classify one parameter point"),
+    "islands": (cmd_islands, "connected components of the constrained region"),
+    "export": (cmd_export, "write a CSV or PLY point cloud"),
+    "verify": (cmd_verify, "run every closed-form and identity check"),
+    "bounds": (cmd_bounds, "maximize |t1 t2 t3| or the l1 norm over a feasible set"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,66 +227,24 @@ def build_parser() -> argparse.ArgumentParser:
         "structure for the five three-parameter state families.",
     )
     sub = parser.add_subparsers(dest="subcommand")
-
-    p = sub.add_parser("list-models", help="model catalog as JSON")
-    p.set_defaults(handler=cmd_list_models)
-
-    p = sub.add_parser("prob", help="Monte Carlo / low-discrepancy probability estimate")
-    p.add_argument("model")
-    p.add_argument("--constraint", choices=sorted(_CONSTRAINT_FLAGS))
-    p.add_argument("--method", choices=sorted(_METHOD_FLAGS))
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--chunk", type=int)
-    p.add_argument("--physical-mode", dest="physical_mode", choices=sorted(_MODE_FLAGS))
-    p.add_argument("--eps-psd", dest="eps_psd", type=nonnegative_float)
-    p.add_argument("--compare-closed-form", action="store_true")
-    p.add_argument("--config")
-    p.set_defaults(handler=cmd_prob, parser=p)
-
-    p = sub.add_parser("classify", help="classify one parameter point")
-    p.add_argument("model")
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--t2", type=float, required=True)
-    p.add_argument("--t3", type=float, required=True)
-    p.add_argument("--eps-psd", dest="eps_psd", type=nonnegative_float)
-    p.add_argument("--physical-mode", dest="physical_mode", choices=sorted(_MODE_FLAGS))
-    p.add_argument("--config")
-    p.set_defaults(handler=cmd_classify, parser=p)
-
-    p = sub.add_parser("islands", help="connected components of the constrained region")
-    p.add_argument("model")
-    p.add_argument("--constraint", choices=sorted(_CONSTRAINT_FLAGS))
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--physical-mode", dest="physical_mode", choices=sorted(_MODE_FLAGS))
-    p.add_argument("--eps-psd", dest="eps_psd", type=nonnegative_float)
-    p.add_argument("--config")
-    p.set_defaults(handler=cmd_islands, parser=p)
-
-    p = sub.add_parser("export", help="write a CSV or PLY point cloud")
-    p.add_argument("model")
-    p.add_argument("--constraint", choices=sorted(_CONSTRAINT_FLAGS))
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "ply"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--physical-mode", dest="physical_mode", choices=sorted(_MODE_FLAGS))
-    p.add_argument("--config")
-    p.set_defaults(handler=cmd_export, parser=p)
-
-    p = sub.add_parser("verify", help="run every closed-form and identity check")
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("bounds", help="maximize |t1 t2 t3| or the l1 norm over a feasible set")
-    p.add_argument("model")
-    p.add_argument("--objective", choices=sorted(_OBJECTIVE_FLAGS))
-    p.add_argument("--set", dest="feasible_set", choices=sorted(_SET_FLAGS))
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.set_defaults(handler=cmd_bounds, parser=p)
-
+    for name, (handler, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        if name not in OPTIONS:
+            continue
+        p.add_argument("model")
+        if name == "classify":
+            for flag in ("--t1", "--t2", "--t3"):
+                p.add_argument(flag, type=finite_float, required=True)
+        for opt in OPTIONS[name]:
+            flag = opt.flag or "--" + opt.key.replace("_", "-")
+            choices = sorted(opt.choices) if opt.choices else None
+            p.add_argument(flag, dest=opt.key, type=opt.type, choices=choices)
+        if name == "prob":
+            p.add_argument("--compare-closed-form", action="store_true")
+        if name == "export":
+            p.add_argument("--out", required=True)
+        p.add_argument("--config")
     return parser
 
 
@@ -333,7 +258,7 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
-        return args.handler(args)
+        config, result = args.handler(args, resolve_options(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -343,6 +268,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    record = {"command": args.subcommand, "config": config, "version": __version__, "result": result}
+    record["timestamp"] = datetime.now(timezone.utc).isoformat()
+    print(json.dumps(record, sort_keys=True, indent=2))
+    return 0 if result.get("all_passed", True) else 3
 
 
 if __name__ == "__main__":

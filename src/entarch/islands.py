@@ -242,17 +242,20 @@ def export_point_cloud(
     mode = models.resolve_mode(spec, physical_mode)
     if resolution is not None:
         report, pts, island_ids = _islands_full(spec, constraint, resolution, mode, eps_psd)
+        labels = _point_labels(spec, pts, mode, eps_psd) if len(pts) else np.zeros(0, dtype=object)
         summary_extra = {"resolution": resolution, "island_count": report.island_count}
     else:
+        # Label each chunk as it is drawn: the oracle never sees more than chunk_size points.
         cfg = SamplerConfig(seed=seed, n_samples=n_samples, physical_mode=mode)
-        chunks = [
-            c[constraint_mask(spec, c, constraint, eps_psd)]
-            for c in sample_physical(spec, cfg, eps_psd)
-        ]
-        pts = np.vstack(chunks) if chunks else np.zeros((0, 3))
+        pts, labels = [np.zeros((0, 3))], [np.zeros(0, dtype=object)]
+        for chunk in sample_physical(spec, cfg, eps_psd):
+            chunk = chunk[constraint_mask(spec, chunk, constraint, eps_psd)]
+            if len(chunk):
+                pts.append(chunk)
+                labels.append(_point_labels(spec, chunk, mode, eps_psd))
+        pts, labels = np.vstack(pts), np.concatenate(labels)
         island_ids = np.full(len(pts), -1, dtype=np.int64)
         summary_extra = {"n_samples": n_samples, "seed": seed}
-    labels = _point_labels(spec, pts, mode, eps_psd) if len(pts) else np.zeros(0, dtype=object)
     try:
         if fmt == "csv":
             _write_csv(path, pts, labels, island_ids)

@@ -83,6 +83,53 @@ class TestMaximize:
             bounds.maximize(M1, "abs_product", "physical", restarts=8, seed=0)
 
 
+def _serial_pattern_search(objective, feasible, x0, step0):
+    """The one-point-at-a-time stencil poll, kept as the reference."""
+    x, best, step = x0.copy(), bounds._objective(objective, x0[None])[0], step0
+    while step > bounds._STEP_MIN:
+        cand_best, cand_val = None, best
+        for d in bounds._DIRS:
+            c = x + step * d
+            if feasible(c[None])[0]:
+                v = bounds._objective(objective, c[None])[0]
+                if v > cand_val:
+                    cand_best, cand_val = c, v
+        if cand_best is None:
+            step *= 0.5
+        else:
+            x, best = cand_best, cand_val
+    return x, best
+
+
+class TestPatternSearch:
+    @pytest.mark.parametrize("model_id", ["M1", "M3", "M5"])
+    @pytest.mark.parametrize("objective", bounds.OBJECTIVES)
+    @pytest.mark.parametrize("feasible_set", bounds.FEASIBLE_SETS)
+    def test_matches_serial_poll(self, model_id, objective, feasible_set):
+        spec = models.get_model(model_id)
+        mode = models.resolve_mode(spec, None)
+        feasible = bounds._feasible_fn(spec, feasible_set, mode, 1e-12)
+        for x0 in (np.array([0.05, -0.1, 0.08]), np.array([-0.1, -0.1, -0.1])):
+            step0 = 0.25 * spec.box_half
+            x, v = bounds._pattern_search(objective, feasible, x0, step0)
+            x_ref, v_ref = _serial_pattern_search(objective, feasible, x0, step0)
+            assert v == v_ref and tuple(x) == tuple(x_ref)
+
+    def test_polls_the_stencil_in_one_mask_call(self, monkeypatch):
+        sizes = {"physical_mask": [], "ppt_mask": []}
+        for name, calls in sizes.items():
+
+            def spy(spec, ts, *rest, _mask=getattr(models, name), _calls=calls):
+                _calls.append(len(ts))
+                return _mask(spec, ts, *rest)
+
+            monkeypatch.setattr(models, name, spy)
+        feasible = bounds._feasible_fn(M3, "ppt_and_physical", "analytic", 1e-12)
+        bounds._pattern_search("abs_product", feasible, np.array([0.1, 0.1, 0.1]), 0.25)
+        assert sizes["physical_mask"] and sizes["ppt_mask"]
+        assert set(sizes["physical_mask"]) == set(sizes["ppt_mask"]) == {len(bounds._DIRS)} == {18}
+
+
 class TestThresholdConsistency:
     def test_m1_nonempty(self):
         rep = bounds.threshold_consistency(M1, restarts=8, seed=0, n_scan=100_000)

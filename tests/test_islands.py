@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entarch import islands, models
+from entarch import islands, models, sampling
 from entarch.errors import ContractViolation
 
 M1 = models.get_model("M1")
@@ -213,6 +213,20 @@ class TestExport:
         # use the requested mode
         assert None not in modes
         assert modes.count(models.MODE_PSD_ORACLE) == 33 + 1
+
+    def test_sampled_labels_are_bounded_by_chunk_size(self, tmp_path, monkeypatch):
+        sizes = []
+        mask = models.physical_mask
+
+        def spy(spec, ts, *rest):
+            sizes.append(len(ts))
+            return mask(spec, ts, *rest)
+
+        monkeypatch.setattr(models, "physical_mask", spy)
+        # about 1e5 accepted points, more than one 65536-point chunk
+        summary = islands.export_point_cloud(M2, tmp_path / "x.csv", "non_ppt", n_samples=200_000)
+        assert summary["points"] > sampling.SamplerConfig().chunk_size
+        assert max(sizes) <= sampling.SamplerConfig().chunk_size
 
     def test_io_error_has_path_context(self, tmp_path):
         bad = tmp_path / "missing" / "x.csv"
