@@ -29,10 +29,10 @@ class UsageError(Exception):
 
 
 def nonnegative_float(text):
-    """argparse type for tolerances: a float >= 0."""
+    """argparse type for tolerances: a finite float >= 0."""
     value = float(text)
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 

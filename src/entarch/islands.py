@@ -29,6 +29,9 @@ PALETTE = {
 
 MIN_RESOLUTION = 33
 
+# Points labelled and written per export step; bounds the labels' oracle state stack.
+EXPORT_SLICE = 8192
+
 
 @dataclass(frozen=True)
 class Island:
@@ -185,34 +188,11 @@ def enumerate_islands(
 
 def _point_labels(spec, pts, mode, eps_psd):
     """Classification label per point, via the vectorized mask fast paths."""
-    phys = models.physical_mask(spec, pts, mode, eps_psd)
-    ppt = models.ppt_mask(spec, pts, eps_psd)
-    add = models.additive_mask(spec, pts)
-    mult = models.multiplicative_mask(spec, pts)
-    return np.where(
-        ~phys,
-        "unphysical",
-        np.where(~ppt, "free_entangled", np.where(add | mult, "bound_entangled", "undetermined")),
+    return models.verdict_label(
+        models.physical_mask(spec, pts, mode, eps_psd),
+        models.ppt_mask(spec, pts, eps_psd),
+        models.additive_mask(spec, pts) | models.multiplicative_mask(spec, pts),
     )
-
-
-def _write_csv(path, pts, labels, island_ids):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("t1,t2,t3,label,island_id\n")
-        for (t1, t2, t3), lab, iid in zip(pts, labels, island_ids):
-            fh.write(f"{t1:.17g},{t2:.17g},{t3:.17g},{lab},{iid}\n")
-
-
-def _write_ply(path, pts, labels):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {len(pts)}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
-        fh.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
-        fh.write("end_header\n")
-        for (t1, t2, t3), lab in zip(pts, labels):
-            r, g, b = PALETTE[str(lab)]
-            fh.write(f"{t1:.9g} {t2:.9g} {t3:.9g} {r} {g} {b}\n")
 
 
 def export_point_cloud(
@@ -230,10 +210,12 @@ def export_point_cloud(
 
     Grid mode (``resolution``) exports occupied voxel centers with their
     island ids; sample mode (``n_samples``) exports accepted Monte Carlo
-    points with island_id = -1.  CSV columns are exactly
-    t1,t2,t3,label,island_id; PLY vertices are colored by label per
-    ``PALETTE``.  Ordering is deterministic either way, and an empty
-    region produces a valid header-only file.
+    points with island_id = -1.  Either way the points are then labelled
+    and written ``EXPORT_SLICE`` at a time, so in every mode at most one
+    slice of labels (and of the labels' oracle states) is in flight.  CSV
+    columns are exactly t1,t2,t3,label,island_id; PLY vertices are colored
+    by label per ``PALETTE``.  Ordering is deterministic either way, and an
+    empty region produces a valid header-only file.
     """
     if (resolution is None) == (n_samples is None):
         raise ContractViolation("exactly one of resolution or n_samples must be given")
@@ -242,25 +224,34 @@ def export_point_cloud(
     mode = models.resolve_mode(spec, physical_mode)
     if resolution is not None:
         report, pts, island_ids = _islands_full(spec, constraint, resolution, mode, eps_psd)
-        labels = _point_labels(spec, pts, mode, eps_psd) if len(pts) else np.zeros(0, dtype=object)
         summary_extra = {"resolution": resolution, "island_count": report.island_count}
     else:
-        # Label each chunk as it is drawn: the oracle never sees more than chunk_size points.
         cfg = SamplerConfig(seed=seed, n_samples=n_samples, physical_mode=mode)
-        pts, labels = [np.zeros((0, 3))], [np.zeros(0, dtype=object)]
-        for chunk in sample_physical(spec, cfg, eps_psd):
-            chunk = chunk[constraint_mask(spec, chunk, constraint, eps_psd)]
-            if len(chunk):
-                pts.append(chunk)
-                labels.append(_point_labels(spec, chunk, mode, eps_psd))
-        pts, labels = np.vstack(pts), np.concatenate(labels)
+        chunks = sample_physical(spec, cfg, eps_psd)  # at least one, as n_samples > 0
+        pts = np.vstack([c[constraint_mask(spec, c, constraint, eps_psd)] for c in chunks])
         island_ids = np.full(len(pts), -1, dtype=np.int64)
         summary_extra = {"n_samples": n_samples, "seed": seed}
+    if fmt == "csv":
+        header, row = "t1,t2,t3,label,island_id\n", "{:.17g},{:.17g},{:.17g},{},{}\n"
+    else:
+        header = (
+            f"ply\nformat ascii 1.0\nelement vertex {len(pts)}\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\nend_header\n"
+        )
+        row = "{:.9g} {:.9g} {:.9g} {} {} {}\n"
     try:
-        if fmt == "csv":
-            _write_csv(path, pts, labels, island_ids)
-        else:
-            _write_ply(path, pts, labels)
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(header)
+            for start in range(0, len(pts), EXPORT_SLICE):
+                part = slice(start, start + EXPORT_SLICE)
+                labels = _point_labels(spec, pts[part], mode, eps_psd).tolist()
+                t1, t2, t3 = pts[part].T.tolist()
+                if fmt == "csv":
+                    rest = (labels, island_ids[part].tolist())
+                else:
+                    rest = zip(*[PALETTE[label] for label in labels])
+                fh.writelines(map(row.format, t1, t2, t3, *rest))
     except OSError as exc:
         raise OSError(f"failed writing point cloud to {path}: {exc}") from exc
     return {

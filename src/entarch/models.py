@@ -56,6 +56,8 @@ from .linalg import (
 )
 
 LABELS = ("unphysical", "undetermined", "bound_entangled", "free_entangled")
+# verdict_label's policy as a table indexed by 4 * physical + 2 * ppt + constrained.
+_VERDICT_LABELS = np.array(LABELS)[[0, 0, 0, 0, 3, 3, 1, 2]]
 
 MODE_ANALYTIC = "analytic"
 MODE_PSD_ORACLE = "psd_oracle"
@@ -444,6 +446,16 @@ def satisfies_additive(spec: ModelSpec, t) -> bool:
     return bool(additive_mask(spec, np.asarray(t, dtype=float)[None, :])[0])
 
 
+def verdict_label(physical, ppt, constrained):
+    """The ``LABELS`` entry of each (physical, PPT, additive-or-multiplicative) verdict.
+
+    A physical point is free-entangled if not PPT, else bound-entangled if it
+    meets either constraint, else undetermined.  Takes bools or same-shape
+    bool arrays; returns a numpy str scalar or array.
+    """
+    return _VERDICT_LABELS[4 * physical + 2 * ppt + constrained]
+
+
 def classify(
     spec: ModelSpec,
     t,
@@ -464,20 +476,12 @@ def classify(
     ppt = min_pt_eig >= -eps_psd
     additive = satisfies_additive(spec, t)
     multiplicative = satisfies_multiplicative(spec, t)
-    if not physical:
-        label = "unphysical"
-    elif not ppt:
-        label = "free_entangled"
-    elif multiplicative or additive:
-        label = "bound_entangled"
-    else:
-        label = "undetermined"
     return Classification(
         physical=physical,
         ppt=ppt,
         additive=additive,
         multiplicative=multiplicative,
-        label=label,
+        label=str(verdict_label(physical, ppt, additive or multiplicative)),
         min_eigenvalue=min_eig,
         min_pt_eigenvalue=min_pt_eig,
     )

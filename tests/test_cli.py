@@ -188,6 +188,19 @@ class TestConfigFile:
         assert cli.main(["prob", "M1", "--eps-psd", "-1"]) == 2
         assert "--eps-psd" in capsys.readouterr().err
 
+    def test_infinite_eps_psd_flag_is_usage_error(self, capsys):
+        # an infinite tolerance would make every point physical in the oracle mode
+        argv = ["prob", "M1", "--physical-mode", "psd-oracle", "--samples", "2000"]
+        assert cli.main([*argv, "--eps-psd", "inf"]) == 2
+        assert "--eps-psd" in capsys.readouterr().err
+
+    def test_infinite_eps_psd_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"eps_psd": 1e999}')  # json reads the overflow as inf
+        argv = ["classify", "M1", "--t1", "0.4", "--t2", "0", "--t3", "0.4"]
+        assert cli.main([*argv, "--physical-mode", "psd-oracle", "--config", str(cfg)]) == 2
+        assert "eps_psd" in capsys.readouterr().err
+
     def test_config_supplies_defaults_flags_win(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"constraint": "additive", "samples": 50000, "seed": 9}))

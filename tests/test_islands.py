@@ -3,6 +3,7 @@ import pytest
 
 from entarch import islands, models, sampling
 from entarch.errors import ContractViolation
+from entarch.linalg import DEFAULT_EPS_PSD
 
 M1 = models.get_model("M1")
 M2 = models.get_model("M2")
@@ -228,7 +229,57 @@ class TestExport:
         assert summary["points"] > sampling.SamplerConfig().chunk_size
         assert max(sizes) <= sampling.SamplerConfig().chunk_size
 
+    def test_grid_labels_are_bounded_by_slice_size(self, tmp_path, monkeypatch):
+        sizes = []
+        mask = models.physical_mask
+
+        def spy(spec, ts, *rest):
+            sizes.append(len(ts))
+            return mask(spec, ts, *rest)
+
+        monkeypatch.setattr(models, "physical_mask", spy)
+        summary = islands.export_point_cloud(M3, tmp_path / "x.csv", "multiplicative", resolution=81)
+        assert summary["points"] > islands.EXPORT_SLICE
+        assert max(sizes) <= islands.EXPORT_SLICE
+
+    @pytest.mark.parametrize("fmt", ["csv", "ply"])
+    def test_sliced_export_matches_whole_array_reference(self, tmp_path, fmt):
+        path = tmp_path / f"m3.{fmt}"
+        islands.export_point_cloud(M3, path, "multiplicative", resolution=81, fmt=fmt)
+        mode = models.resolve_mode(M3, None)
+        _, pts, ids = islands._islands_full(M3, "multiplicative", 81, mode, DEFAULT_EPS_PSD)
+        # more points than one sampling chunk, so any slice size up to it cuts the file
+        assert len(pts) > sampling.SamplerConfig().chunk_size
+        phys = models.physical_mask(M3, pts, mode)
+        ppt = models.ppt_mask(M3, pts)
+        constrained = models.additive_mask(M3, pts) | models.multiplicative_mask(M3, pts)
+        labels = np.where(
+            ~phys,
+            "unphysical",
+            np.where(~ppt, "free_entangled", np.where(constrained, "bound_entangled", "undetermined")),
+        )
+        assert "free_entangled" in labels
+        if fmt == "csv":
+            expected = "t1,t2,t3,label,island_id\n" + "".join(
+                f"{t1:.17g},{t2:.17g},{t3:.17g},{lab},{iid}\n"
+                for (t1, t2, t3), lab, iid in zip(pts, labels, ids)
+            )
+        else:
+            expected = (
+                f"ply\nformat ascii 1.0\nelement vertex {len(pts)}\n"
+                "property float x\nproperty float y\nproperty float z\n"
+                "property uchar red\nproperty uchar green\nproperty uchar blue\nend_header\n"
+            ) + "".join(
+                "{:.9g} {:.9g} {:.9g} {} {} {}\n".format(t1, t2, t3, *islands.PALETTE[str(lab)])
+                for (t1, t2, t3), lab in zip(pts, labels)
+            )
+        assert path.read_text() == expected
+
     def test_io_error_has_path_context(self, tmp_path):
         bad = tmp_path / "missing" / "x.csv"
         with pytest.raises(OSError, match="missing"):
             islands.export_point_cloud(M1, bad, "multiplicative", resolution=41)
+
+
+def test_palette_colors_every_label():
+    assert set(islands.PALETTE) == set(models.LABELS)

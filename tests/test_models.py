@@ -1,3 +1,4 @@
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -272,6 +273,18 @@ class TestClassify:
         assert (c.label == "undetermined") == (
             c.physical and c.ppt and not c.multiplicative and not c.additive
         )
+
+    def test_verdict_label_vocabulary(self):
+        # (physical, ppt, constrained) in product order: F,F,F ... T,T,T
+        verdicts = np.array(list(itertools.product([False, True], repeat=3)))
+        labels = models.verdict_label(*verdicts.T).tolist()
+        assert labels == ["unphysical"] * 4 + ["free_entangled"] * 2 + [
+            "undetermined",
+            "bound_entangled",
+        ]
+        assert set(labels) == set(models.LABELS)
+        assert [str(models.verdict_label(*map(bool, v))) for v in verdicts] == labels
+        assert type(models.classify(M1, (0, 0, 0)).label) is str
 
 
 class TestExtremalStates:
