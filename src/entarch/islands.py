@@ -9,15 +9,18 @@ empty, so sign octants can never merge.  26-connectivity could bridge
 octants diagonally and is deliberately not offered.
 """
 
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from . import models
-from .errors import ContractViolation
+from .errors import ConfigurationError, ContractViolation
 from .linalg import DEFAULT_EPS_PSD
-from .sampling import SamplerConfig, constraint_mask, sample_physical
+from .sampling import CONSTRAINTS, SamplerConfig, constraint_mask, sample_physical
 
 # Vertex colors for PLY export, one per classification label.
 PALETTE = {
@@ -31,6 +34,10 @@ MIN_RESOLUTION = 33
 
 # Points labelled and written per export step; bounds the labels' oracle state stack.
 EXPORT_SLICE = 8192
+
+# Peak bytes a grid run allocates per voxel when every voxel is occupied
+# (tracemalloc peak of ``_islands_full``: 99 B); larger grids are refused.
+GRID_BYTES_PER_VOXEL = 100
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,14 @@ def _validate_resolution(resolution: int):
         )
     if resolution < MIN_RESOLUTION:
         raise ContractViolation(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
+    peak = GRID_BYTES_PER_VOXEL * resolution**3
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if peak > physical:
+        raise ConfigurationError(
+            f"resolution {resolution} needs about {peak / 2**30:.3g} GiB at its peak "
+            f"({GRID_BYTES_PER_VOXEL} B per voxel), more than the {physical / 2**30:.3g} GiB "
+            "of physical memory"
+        )
 
 
 def _grid_points(spec, resolution):
@@ -179,7 +194,9 @@ def enumerate_islands(
     scan order) and carry grid-based volume fractions relative to the
     physical set, so the fractions sum to the grid estimate of the
     constrained probability.  Zero occupied voxels is a valid outcome
-    (for example M5) and yields an empty report.
+    (for example M5) and yields an empty report.  A resolution whose peak
+    (``GRID_BYTES_PER_VOXEL`` per voxel) exceeds physical memory raises
+    ``ConfigurationError`` before anything is allocated.
     """
     mode = models.resolve_mode(spec, physical_mode)
     report, _, _ = _islands_full(spec, constraint, resolution, mode, eps_psd)
@@ -193,6 +210,45 @@ def _point_labels(spec, pts, mode, eps_psd):
         models.ppt_mask(spec, pts, eps_psd),
         models.additive_mask(spec, pts) | models.multiplicative_mask(spec, pts),
     )
+
+
+def _slices(pts, island_ids):
+    """(points, island ids) in consecutive ``EXPORT_SLICE``-point parts."""
+    for start in range(0, len(pts), EXPORT_SLICE):
+        yield pts[start : start + EXPORT_SLICE], island_ids[start : start + EXPORT_SLICE]
+
+
+def _sampled_batches(spec, cfg, constraint, eps_psd):
+    """The accepted draws that meet ``constraint``, chunk by chunk, sliced, island id -1."""
+    for chunk in sample_physical(spec, cfg, eps_psd):
+        hits = chunk[constraint_mask(spec, chunk, constraint, eps_psd)]
+        yield from _slices(hits, np.full(len(hits), -1, dtype=np.int64))
+
+
+def _header(fmt, n_points):
+    if fmt == "csv":
+        return "t1,t2,t3,label,island_id\n"
+    return (
+        f"ply\nformat ascii 1.0\nelement vertex {n_points}\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property uchar red\nproperty uchar green\nproperty uchar blue\nend_header\n"
+    )
+
+
+def _write_rows(out, spec, batches, fmt, mode, eps_psd) -> int:
+    """Label each (points, island ids) batch, write its rows to ``out``; return the row count."""
+    row = "{:.17g},{:.17g},{:.17g},{},{}\n" if fmt == "csv" else "{:.9g} {:.9g} {:.9g} {} {} {}\n"
+    n_rows = 0
+    for pts, island_ids in batches:
+        labels = _point_labels(spec, pts, mode, eps_psd).tolist()
+        t1, t2, t3 = pts.T.tolist()
+        if fmt == "csv":
+            rest = (labels, island_ids.tolist())
+        else:
+            rest = zip(*[PALETTE[label] for label in labels])
+        out.writelines(map(row.format, t1, t2, t3, *rest))
+        n_rows += len(pts)
+    return n_rows
 
 
 def export_point_cloud(
@@ -210,48 +266,46 @@ def export_point_cloud(
 
     Grid mode (``resolution``) exports occupied voxel centers with their
     island ids; sample mode (``n_samples``) exports accepted Monte Carlo
-    points with island_id = -1.  Either way the points are then labelled
-    and written ``EXPORT_SLICE`` at a time, so in every mode at most one
-    slice of labels (and of the labels' oracle states) is in flight.  CSV
-    columns are exactly t1,t2,t3,label,island_id; PLY vertices are colored
-    by label per ``PALETTE``.  Ordering is deterministic either way, and an
-    empty region produces a valid header-only file.
+    points with island_id = -1, one sampling chunk at a time.  Either way
+    the points are then labelled and written ``EXPORT_SLICE`` at a time, so
+    in every mode at most one slice of labels (and of the labels' oracle
+    states) is in flight, and sample mode never holds more than one chunk of
+    points.  CSV columns are exactly t1,t2,t3,label,island_id; PLY vertices
+    are colored by label per ``PALETTE``; a sampled PLY body is spooled to a
+    temporary file beside ``path`` until its vertex count is known.
+    Ordering is deterministic either way, and an empty region produces a
+    valid header-only file.
     """
     if (resolution is None) == (n_samples is None):
         raise ContractViolation("exactly one of resolution or n_samples must be given")
     if fmt not in ("csv", "ply"):
         raise ContractViolation(f"format must be 'csv' or 'ply', got {fmt!r}")
+    if constraint not in CONSTRAINTS:
+        raise ContractViolation(f"unknown constraint {constraint!r}; choose from {CONSTRAINTS}")
     mode = models.resolve_mode(spec, physical_mode)
     if resolution is not None:
         report, pts, island_ids = _islands_full(spec, constraint, resolution, mode, eps_psd)
+        batches, n_points = _slices(pts, island_ids), len(pts)
         summary_extra = {"resolution": resolution, "island_count": report.island_count}
     else:
         cfg = SamplerConfig(seed=seed, n_samples=n_samples, physical_mode=mode)
-        chunks = sample_physical(spec, cfg, eps_psd)  # at least one, as n_samples > 0
-        pts = np.vstack([c[constraint_mask(spec, c, constraint, eps_psd)] for c in chunks])
-        island_ids = np.full(len(pts), -1, dtype=np.int64)
+        batches, n_points = _sampled_batches(spec, cfg, constraint, eps_psd), None
         summary_extra = {"n_samples": n_samples, "seed": seed}
-    if fmt == "csv":
-        header, row = "t1,t2,t3,label,island_id\n", "{:.17g},{:.17g},{:.17g},{},{}\n"
-    else:
-        header = (
-            f"ply\nformat ascii 1.0\nelement vertex {len(pts)}\n"
-            "property float x\nproperty float y\nproperty float z\n"
-            "property uchar red\nproperty uchar green\nproperty uchar blue\nend_header\n"
-        )
-        row = "{:.9g} {:.9g} {:.9g} {} {} {}\n"
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(header)
-            for start in range(0, len(pts), EXPORT_SLICE):
-                part = slice(start, start + EXPORT_SLICE)
-                labels = _point_labels(spec, pts[part], mode, eps_psd).tolist()
-                t1, t2, t3 = pts[part].T.tolist()
-                if fmt == "csv":
-                    rest = (labels, island_ids[part].tolist())
-                else:
-                    rest = zip(*[PALETTE[label] for label in labels])
-                fh.writelines(map(row.format, t1, t2, t3, *rest))
+            if fmt == "csv" or n_points is not None:
+                fh.write(_header(fmt, n_points))
+                n_points = _write_rows(fh, spec, batches, fmt, mode, eps_psd)
+            else:
+                # Sampled points are counted only as they are written, and the PLY
+                # header needs the count: the body is spooled on the file's own disk
+                # (a memory-backed temp dir would unbound memory again).
+                spool_dir = os.path.dirname(os.path.abspath(path))
+                with tempfile.TemporaryFile("w+", encoding="ascii", dir=spool_dir) as body:
+                    n_points = _write_rows(body, spec, batches, fmt, mode, eps_psd)
+                    fh.write(_header(fmt, n_points))
+                    body.seek(0)
+                    shutil.copyfileobj(body, fh)
     except OSError as exc:
         raise OSError(f"failed writing point cloud to {path}: {exc}") from exc
     return {
@@ -260,6 +314,6 @@ def export_point_cloud(
         "physical_mode": mode,
         "format": fmt,
         "path": str(path),
-        "points": int(len(pts)),
+        "points": n_points,
         **summary_extra,
     }

@@ -4,7 +4,10 @@ Everything here operates on plain ``numpy.ndarray`` values of dtype
 ``complex128``.  Eigenvalues of Hermitian matrices are computed with a
 cyclic Jacobi iteration, which is simple and very accurate at these sizes;
 ``eigvalsh_stack`` is a LAPACK-backed batched variant for hot loops and is
-cross-checked against the Jacobi solver in the test suite.
+cross-checked against the Jacobi solver in the test suite.  The PSD oracle
+(``models.physical_mask`` in "psd_oracle" mode) passes it the exact coupling
+blocks of the states, at most 3 x 3 for the catalog, one stack per block
+size, rather than the full states.
 """
 
 from dataclasses import dataclass

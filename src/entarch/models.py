@@ -15,6 +15,10 @@ both strict.  ``ModelSpec.regions`` maps each physicality mode to a
 ``Region`` - a prism, cube, tetrahedron or ball of one size - whose margin,
 volume, l1 supremum and direct sampler every per-model predicate reads.
 "psd_oracle" shares the true set's region but lets the eigen-oracle decide.
+The oracle solves the exact coupling blocks of each state: the three
+couplings share a fixed zero pattern, whose connected components split every
+state, by a permutation, into blocks of at most 3 x 3 for these five families,
+each still diagonalized by LAPACK.
 
 Models
 ------
@@ -45,6 +49,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ContractViolation, UnsupportedMode
 from .generators import gell_mann, pauli
@@ -338,6 +343,47 @@ def coupling_matrices(spec: ModelSpec) -> np.ndarray:
     return stack
 
 
+_BLOCK_CACHE: dict = {}
+
+
+def coupling_blocks(spec: ModelSpec) -> tuple:
+    """The exact block split shared by every state of the family, grouped by size.
+
+    A state is the identity plus a combination of the three couplings, so its
+    nonzero entries lie in the union of their patterns.  The connected
+    components of that pattern are index blocks no entry joins: permuting
+    rows and columns into component order makes every state block-diagonal.
+    Returns one ``(indices, couplings)`` pair per block size b, ascending:
+    ``indices`` is the read-only (m, b) array of the m blocks of that size,
+    ``couplings`` the read-only (3, m, b, b) coupling entries on them.
+    """
+    groups = _BLOCK_CACHE.get(spec.model_id)
+    if groups is None:
+        k = coupling_matrices(spec)
+        count, component = connected_components(np.any(k != 0, axis=0), directed=False)
+        blocks = [np.flatnonzero(component == c) for c in range(count)]
+        groups = []
+        for size in sorted({len(block) for block in blocks}):
+            indices = np.array([block for block in blocks if len(block) == size])
+            couplings = k[:, indices[:, :, None], indices[:, None, :]]
+            indices.flags.writeable = couplings.flags.writeable = False
+            groups.append((indices, couplings))
+        groups = _BLOCK_CACHE[spec.model_id] = tuple(groups)
+    return groups
+
+
+def _least_eigenvalues(spec: ModelSpec, ts: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of each state: LAPACK on its coupling blocks, one stack per size."""
+    least = np.full(len(ts), np.inf)
+    for _, couplings in coupling_blocks(spec):
+        m, b = couplings.shape[1], couplings.shape[-1]
+        base = spec.identity_weight * np.eye(b, dtype=complex)
+        blocks = base + spec.coefficient * np.einsum("ni,imjk->nmjk", ts, couplings)
+        block_least = eigvalsh_stack(blocks.reshape(-1, b, b))[:, 0].reshape(len(ts), m)
+        np.minimum(least, block_least.min(axis=1), out=least)
+    return least
+
+
 def build_state(spec: ModelSpec, t) -> np.ndarray:
     """Density matrix of the family at parameter point t = (t1, t2, t3).
 
@@ -369,15 +415,16 @@ def physical_mask(
 ) -> np.ndarray:
     """Vectorized physicality test for an (N, 3) array of parameter points.
 
-    The region's margin decides; in "psd_oracle" mode the eigenvalue oracle.
+    The region's margin decides; in "psd_oracle" mode the eigenvalue oracle,
+    which solves each state's exact coupling blocks (``coupling_blocks``)
+    rather than the full d x d matrix: a point is physical iff the least
+    eigenvalue over its blocks is >= -eps_psd.
     """
     ts = np.atleast_2d(np.asarray(ts, dtype=float))
     mode = resolve_mode(spec, mode)
     if mode != MODE_PSD_ORACLE:
         return spec.regions[mode].margin(ts) >= 0.0
-    if len(ts) == 0:
-        return np.zeros(0, dtype=bool)
-    return eigvalsh_stack(build_states(spec, ts))[:, 0] >= -eps_psd
+    return _least_eigenvalues(spec, ts) >= -eps_psd
 
 
 def physical_margin(spec: ModelSpec, ts: np.ndarray, mode: str | None = None) -> np.ndarray:
@@ -414,7 +461,9 @@ def ppt_mask(spec: ModelSpec, ts: np.ndarray, eps_psd: float = DEFAULT_EPS_PSD) 
     """Vectorized PPT test: physicality of the point the partial transpose reflects it to.
 
     Uses the "analytic" region where the model has one, otherwise the
-    eigenvalue oracle.  Tested against the oracle on the partial transpose.
+    eigenvalue oracle of ``physical_mask``, which solves the exact coupling
+    blocks of the reflected state.  Tested against the oracle on the partial
+    transpose.
     """
     ts = np.atleast_2d(np.asarray(ts, dtype=float))
     mode = MODE_ANALYTIC if MODE_ANALYTIC in spec.regions else MODE_PSD_ORACLE

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -99,6 +100,17 @@ class TestIslands:
     def test_even_resolution_rejected(self, capsys):
         code = cli.main(["islands", "M1", "--resolution", "40"])
         assert code == 3
+
+    def test_resolution_beyond_memory_refused(self, capsys):
+        tracemalloc.start()
+        try:
+            code = cli.main(["islands", "M1", "--resolution", "100001"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "physical memory" in capsys.readouterr().err
+        assert peak < 2**20
 
 
 class TestExport:

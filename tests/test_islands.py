@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from entarch import islands, models, sampling
-from entarch.errors import ContractViolation
+from entarch.errors import ConfigurationError, ContractViolation
 from entarch.linalg import DEFAULT_EPS_PSD
 
 M1 = models.get_model("M1")
@@ -46,6 +48,19 @@ class TestEnumerateIslands:
             islands.enumerate_islands(M1, resolution=120)
         with pytest.raises(ContractViolation):
             islands.enumerate_islands(M1, resolution=31)
+
+    def test_grid_too_large_for_memory_refused_before_allocation(self, tmp_path):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="physical memory"):
+                islands.enumerate_islands(M1, resolution=100001)
+            with pytest.raises(ConfigurationError, match="physical memory"):
+                islands.export_point_cloud(M1, tmp_path / "x.csv", resolution=100001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("spec", [M1, M2])
     def test_eight_islands_with_distinct_octants(self, spec):
@@ -180,6 +195,23 @@ class TestExport:
         assert lines[2] == f"element vertex {summary['points']}"
         assert lines[-1].endswith("214 39 40")  # bound_entangled color
 
+    def test_sampled_ply_matches_sampled_csv(self, tmp_path):
+        # sample mode counts its vertices only while writing, so its body is spooled
+        kwargs = dict(constraint="non_ppt", n_samples=100_000, seed=5)  # two chunks
+        csv = islands.export_point_cloud(M3, tmp_path / "m3.csv", **kwargs)
+        ply = islands.export_point_cloud(M3, tmp_path / "m3.ply", fmt="ply", **kwargs)
+        rows = [line.split(",") for line in (tmp_path / "m3.csv").read_text().splitlines()[1:]]
+        lines = (tmp_path / "m3.ply").read_text().splitlines()
+        assert ply["points"] == csv["points"] == len(rows) > islands.EXPORT_SLICE
+        assert lines[2] == f"element vertex {len(rows)}" and lines[9] == "end_header"
+        assert lines[10:] == [
+            "{:.9g} {:.9g} {:.9g} {} {} {}".format(
+                float(t1), float(t2), float(t3), *islands.PALETTE[label]
+            )
+            for t1, t2, t3, label, _ in rows
+        ]
+        assert not set(tmp_path.iterdir()) - {tmp_path / "m3.csv", tmp_path / "m3.ply"}
+
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         islands.export_point_cloud(M1, p1, "multiplicative", n_samples=10_000, seed=2)
@@ -228,6 +260,22 @@ class TestExport:
         summary = islands.export_point_cloud(M2, tmp_path / "x.csv", "non_ppt", n_samples=200_000)
         assert summary["points"] > sampling.SamplerConfig().chunk_size
         assert max(sizes) <= sampling.SamplerConfig().chunk_size
+
+    def test_sampled_export_memory_is_bounded_by_one_chunk(self, tmp_path):
+        def peak(n_samples, fmt):
+            tracemalloc.start()
+            try:
+                islands.export_point_cloud(
+                    M2, tmp_path / f"x.{fmt}", "multiplicative", n_samples=n_samples, fmt=fmt
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chunk_bytes = sampling.SamplerConfig().chunk_size * 3 * 8  # one chunk of draws
+        for fmt in ("csv", "ply"):
+            # about 1.8e5 points at 2e6 draws: 4.3 MB of coordinates if stacked
+            assert peak(2_000_000, fmt) <= peak(200_000, fmt) + chunk_bytes
 
     def test_grid_labels_are_bounded_by_slice_size(self, tmp_path, monkeypatch):
         sizes = []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entarch import linalg, models
+from entarch import linalg, models, sampling
 from entarch.errors import UnsupportedMode
 
 M1 = models.get_model("M1")
@@ -320,3 +320,80 @@ def test_catalog_shape():
     assert by_id["M4"]["multiplicative_threshold_fraction"] == "4096/387420489"
     assert by_id["M5"]["multiplicative_threshold_fraction"] == "4096/14348907"
     assert by_id["M2"]["default_physical_mode"] == "paper_cube"
+
+
+BLOCK_BAND = 1e-9
+
+
+class TestBlockOracle:
+    """The eigen-oracle solves each family's exact coupling blocks, not the d x d state."""
+
+    @pytest.mark.parametrize("model_id", sorted(models.MODELS))
+    def test_blocks_split_every_coupling_exactly(self, model_id):
+        spec = models.MODELS[model_id]
+        k = models.coupling_matrices(spec)
+        blocks = [idx for indices, _ in models.coupling_blocks(spec) for idx in indices]
+        order = np.concatenate(blocks)
+        assert sorted(order.tolist()) == list(range(spec.dim))
+        inside = np.zeros((spec.dim, spec.dim), dtype=bool)
+        for idx in blocks:
+            inside[np.ix_(idx, idx)] = True
+        assert np.all(k[:, ~inside] == 0)
+        # in block order each coupling is block-diagonal, bit for bit
+        permuted = k[:, order[:, None], order[None, :]]
+        expected = np.zeros_like(permuted)
+        start = 0
+        for idx in blocks:
+            end = start + len(idx)
+            expected[:, start:end, start:end] = k[:, idx[:, None], idx[None, :]]
+            start = end
+        assert np.array_equal(permuted, expected)
+        for indices, couplings in models.coupling_blocks(spec):
+            assert np.array_equal(couplings, k[:, indices[:, :, None], indices[:, None, :]])
+
+    @pytest.mark.parametrize("model_id", sorted(models.MODELS))
+    def test_matches_full_state_oracle(self, model_id):
+        spec = models.MODELS[model_id]
+        rng = np.random.default_rng(20201)
+        pts = (2.0 * rng.random((20000, 3)) - 1.0) * 1.1 * spec.box_half
+        full = linalg.eigvalsh_stack(models.build_states(spec, pts))[:, 0]
+        assert np.max(np.abs(models._least_eigenvalues(spec, pts) - full)) <= 1e-14
+        mask = models.physical_mask(spec, pts, models.MODE_PSD_ORACLE)
+        eps = linalg.DEFAULT_EPS_PSD
+        away = np.abs(full + eps) > BLOCK_BAND
+        assert 0 < np.count_nonzero(mask) < len(pts)
+        assert np.array_equal(mask[away], (full >= -eps)[away])
+
+    def test_no_matrix_larger_than_3x3(self, monkeypatch):
+        sizes = []
+        eig = linalg.eigvalsh_stack
+
+        def spy(stack):
+            sizes.append(stack.shape[-1])
+            return eig(stack)
+
+        monkeypatch.setattr(models, "eigvalsh_stack", spy)
+        monkeypatch.setattr(linalg, "eigvalsh_stack", spy)
+        rng = np.random.default_rng(7)
+        for spec in models.MODELS.values():
+            pts = (2.0 * rng.random((500, 3)) - 1.0) * spec.box_half
+            models.physical_mask(spec, pts, models.MODE_PSD_ORACLE)
+            models.ppt_mask(spec, pts)
+        assert sizes and max(sizes) <= 3
+
+    @pytest.mark.parametrize(
+        "model_id, constraint, n_physical, hits",
+        [
+            ("M1", "multiplicative", 33158, 2800),
+            ("M2", "multiplicative", 33158, 0),
+            ("M3", "multiplicative", 21791, 8427),
+            ("M3", "non_ppt", 21791, 10807),
+            ("M5", "multiplicative", 34515, 0),
+            ("M5", "non_ppt", 34515, 0),
+        ],
+    )
+    def test_seeded_counts_unchanged(self, model_id, constraint, n_physical, hits):
+        # the literals were recorded with the full-state oracle
+        cfg = sampling.SamplerConfig(seed=2020, n_samples=2**16, physical_mode=models.MODE_PSD_ORACLE)
+        counts = sampling.count_constraint(models.MODELS[model_id], constraint, cfg)
+        assert counts == (2**16, n_physical, hits)
