@@ -9,7 +9,7 @@ function of the seed, so the best value is nondecreasing in the number of
 restarts.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,16 +35,7 @@ class OptResult:
     restarts: int
     feasible: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "objective": self.objective,
-            "feasible_set": self.feasible_set,
-            "best_point": list(self.best_point),
-            "best_value": self.best_value,
-            "restarts": self.restarts,
-            "feasible": self.feasible,
-        }
+    as_dict = asdict
 
 
 def _directions() -> np.ndarray:

@@ -13,7 +13,10 @@ block, then
     l12 = -i(E24-E42)   l13 = E34+E43       l14 = -i(E34-E43)
     l15 = diag(1,1,1,-3)/sqrt(6)
 
-Every generator is Hermitian, traceless and normalized so that
+Both tables, and the Pauli matrices s1, s2, s3 (n = 2), follow one level
+formula: for each level m = 2..n, the pair E_jm+E_mj, -i(E_jm-E_mj) for
+each j = 1..m-1, then diag(1,...,1,1-m,0,...,0)/sqrt(m(m-1)/2) with m-1
+ones.  Every generator is Hermitian, traceless and normalized so that
 trace(l_a l_b) = 2 delta_ab.  Bases are cached as read-only arrays.
 """
 
@@ -24,8 +27,7 @@ import numpy as np
 
 def _sym(n, i, j):
     m = np.zeros((n, n), dtype=complex)
-    m[i - 1, j - 1] = 1.0
-    m[j - 1, i - 1] = 1.0
+    m[i - 1, j - 1] = m[j - 1, i - 1] = 1.0
     return m
 
 
@@ -36,70 +38,37 @@ def _asym(n, i, j):
     return m
 
 
-def _freeze(m):
-    m.flags.writeable = False
-    return m
-
-
 @lru_cache(maxsize=None)
-def _pauli_basis():
-    return (
-        _freeze(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)),
-        _freeze(np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)),
-        _freeze(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)),
-    )
-
-
-@lru_cache(maxsize=None)
-def _gell_mann_basis(n):
-    if n == 3:
-        mats = [
-            _sym(3, 1, 2),
-            _asym(3, 1, 2),
-            np.diag([1.0, -1.0, 0.0]).astype(complex),
-            _sym(3, 1, 3),
-            _asym(3, 1, 3),
-            _sym(3, 2, 3),
-            _asym(3, 2, 3),
-            np.diag([1.0, 1.0, -2.0]).astype(complex) / np.sqrt(3.0),
-        ]
-    elif n == 4:
-        mats = []
-        for g3 in _gell_mann_basis(3):
-            m = np.zeros((4, 4), dtype=complex)
-            m[:3, :3] = g3
-            mats.append(m)
-        mats += [
-            _sym(4, 1, 4),
-            _asym(4, 1, 4),
-            _sym(4, 2, 4),
-            _asym(4, 2, 4),
-            _sym(4, 3, 4),
-            _asym(4, 3, 4),
-            np.diag([1.0, 1.0, 1.0, -3.0]).astype(complex) / np.sqrt(6.0),
-        ]
-    else:
-        raise ValueError(f"Gell-Mann generators are provided for n in {{3, 4}}, not n={n}")
-    return tuple(_freeze(m) for m in mats)
+def _basis(n):
+    mats = []
+    for m in range(2, n + 1):
+        for j in range(1, m):
+            mats += [_sym(n, j, m), _asym(n, j, m)]
+        level = np.diag([1.0] * (m - 1) + [1.0 - m] + [0.0] * (n - m)).astype(complex)
+        mats.append(level / np.sqrt(m * (m - 1) / 2))
+    for g in mats:
+        g.flags.writeable = False
+    return tuple(mats)
 
 
 def pauli(i: int) -> np.ndarray:
     """Pauli matrix sigma_i for i in 1..3."""
     if i not in (1, 2, 3):
         raise IndexError(f"Pauli index must be 1, 2 or 3, got {i}")
-    return _pauli_basis()[i - 1]
+    return _basis(2)[i - 1]
 
 
 def gell_mann(n: int, k: int) -> np.ndarray:
     """Generalized Gell-Mann generator l_k of SU(n), n in {3, 4}, k in 1..n^2-1."""
-    basis = _gell_mann_basis(n)
+    if n not in (3, 4):
+        raise ValueError(f"Gell-Mann generators are provided for n in {{3, 4}}, not n={n}")
     if not 1 <= k <= n * n - 1:
         raise IndexError(f"generator index must be in 1..{n * n - 1}, got {k}")
-    return basis[k - 1]
+    return _basis(n)[k - 1]
 
 
 def generator_basis(n: int):
     """The full generator tuple for SU(n), n in {2, 3, 4}, indexed 1..n^2-1."""
-    if n == 2:
-        return _pauli_basis()
-    return _gell_mann_basis(n)
+    if n not in (2, 3, 4):
+        raise ValueError(f"generators are provided for n in {{2, 3, 4}}, not n={n}")
+    return _basis(n)

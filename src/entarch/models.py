@@ -43,7 +43,7 @@ M5  two-qutrit (3x3), generators (l1,l1), (l2,l4), (l3,l6).  The spectrum
     membership, and the ball supplies the margin, volume and l1 supremum.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -196,6 +196,41 @@ class ModelSpec:
         signs.flags.writeable = False
         return signs
 
+    @cached_property
+    def coupling_matrices(self) -> np.ndarray:
+        """The three tensor-product coupling matrices as a read-only (3, d, d) stack."""
+        stack = np.array(
+            [
+                np.kron(_side_generator(self.dim_a, ia), _side_generator(self.dim_b, ib))
+                for ia, ib in self.term_indices
+            ]
+        )
+        stack.flags.writeable = False
+        return stack
+
+    @cached_property
+    def coupling_blocks(self) -> tuple:
+        """The exact block split shared by every state of the family, grouped by size.
+
+        A state is the identity plus a combination of the three couplings, so its
+        nonzero entries lie in the union of their patterns.  The connected
+        components of that pattern are index blocks no entry joins: permuting
+        rows and columns into component order makes every state block-diagonal.
+        One ``(indices, couplings)`` pair per block size b, ascending:
+        ``indices`` is the read-only (m, b) array of the m blocks of that size,
+        ``couplings`` the read-only (3, m, b, b) coupling entries on them.
+        """
+        k = self.coupling_matrices
+        count, component = connected_components(np.any(k != 0, axis=0), directed=False)
+        blocks = [np.flatnonzero(component == c) for c in range(count)]
+        groups = []
+        for size in sorted({len(block) for block in blocks}):
+            indices = np.array([block for block in blocks if len(block) == size])
+            couplings = k[:, indices[:, :, None], indices[:, None, :]]
+            indices.flags.writeable = couplings.flags.writeable = False
+            groups.append((indices, couplings))
+        return tuple(groups)
+
     @property
     def dim(self) -> int:
         return self.dim_a * self.dim_b
@@ -291,16 +326,7 @@ class Classification:
     min_eigenvalue: float
     min_pt_eigenvalue: float
 
-    def as_dict(self) -> dict:
-        return {
-            "physical": self.physical,
-            "ppt": self.ppt,
-            "additive": self.additive,
-            "multiplicative": self.multiplicative,
-            "label": self.label,
-            "min_eigenvalue": self.min_eigenvalue,
-            "min_pt_eigenvalue": self.min_pt_eigenvalue,
-        }
+    as_dict = asdict
 
 
 def get_model(model_id: str) -> ModelSpec:
@@ -326,56 +352,20 @@ def _side_generator(dim: int, index: int) -> np.ndarray:
     return pauli(index) if dim == 2 else gell_mann(dim, index)
 
 
-_COUPLING_CACHE: dict = {}
-
-
 def coupling_matrices(spec: ModelSpec) -> np.ndarray:
-    """The three tensor-product coupling matrices as a read-only (3, d, d) stack."""
-    stack = _COUPLING_CACHE.get(spec.model_id)
-    if stack is None:
-        mats = [
-            np.kron(_side_generator(spec.dim_a, ia), _side_generator(spec.dim_b, ib))
-            for ia, ib in spec.term_indices
-        ]
-        stack = np.array(mats)
-        stack.flags.writeable = False
-        _COUPLING_CACHE[spec.model_id] = stack
-    return stack
-
-
-_BLOCK_CACHE: dict = {}
+    """``spec.coupling_matrices``: the read-only (3, d, d) coupling stack."""
+    return spec.coupling_matrices
 
 
 def coupling_blocks(spec: ModelSpec) -> tuple:
-    """The exact block split shared by every state of the family, grouped by size.
-
-    A state is the identity plus a combination of the three couplings, so its
-    nonzero entries lie in the union of their patterns.  The connected
-    components of that pattern are index blocks no entry joins: permuting
-    rows and columns into component order makes every state block-diagonal.
-    Returns one ``(indices, couplings)`` pair per block size b, ascending:
-    ``indices`` is the read-only (m, b) array of the m blocks of that size,
-    ``couplings`` the read-only (3, m, b, b) coupling entries on them.
-    """
-    groups = _BLOCK_CACHE.get(spec.model_id)
-    if groups is None:
-        k = coupling_matrices(spec)
-        count, component = connected_components(np.any(k != 0, axis=0), directed=False)
-        blocks = [np.flatnonzero(component == c) for c in range(count)]
-        groups = []
-        for size in sorted({len(block) for block in blocks}):
-            indices = np.array([block for block in blocks if len(block) == size])
-            couplings = k[:, indices[:, :, None], indices[:, None, :]]
-            indices.flags.writeable = couplings.flags.writeable = False
-            groups.append((indices, couplings))
-        groups = _BLOCK_CACHE[spec.model_id] = tuple(groups)
-    return groups
+    """``spec.coupling_blocks``: the exact block split shared by the family's states."""
+    return spec.coupling_blocks
 
 
 def _least_eigenvalues(spec: ModelSpec, ts: np.ndarray) -> np.ndarray:
     """Least eigenvalue of each state: LAPACK on its coupling blocks, one stack per size."""
     least = np.full(len(ts), np.inf)
-    for _, couplings in coupling_blocks(spec):
+    for _, couplings in spec.coupling_blocks:
         m, b = couplings.shape[1], couplings.shape[-1]
         base = spec.identity_weight * np.eye(b, dtype=complex)
         blocks = base + spec.coefficient * np.einsum("ni,imjk->nmjk", ts, couplings)
@@ -393,7 +383,7 @@ def build_state(spec: ModelSpec, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.shape != (3,):
         raise ContractViolation(f"parameter point must have three components, got {t.shape}")
-    k = coupling_matrices(spec)
+    k = spec.coupling_matrices
     return spec.identity_weight * np.eye(spec.dim, dtype=complex) + spec.coefficient * (
         t[0] * k[0] + t[1] * k[1] + t[2] * k[2]
     )
@@ -402,7 +392,7 @@ def build_state(spec: ModelSpec, t) -> np.ndarray:
 def build_states(spec: ModelSpec, ts: np.ndarray) -> np.ndarray:
     """Batched ``build_state`` for an (N, 3) array of parameter points."""
     ts = np.asarray(ts, dtype=float)
-    k = coupling_matrices(spec)
+    k = spec.coupling_matrices
     base = spec.identity_weight * np.eye(spec.dim, dtype=complex)
     return base[None, :, :] + spec.coefficient * np.einsum("ni,ijk->njk", ts, k)
 

@@ -21,7 +21,7 @@ nominal iid-equivalent figure, typically conservative).
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.stats import qmc
@@ -74,20 +74,7 @@ class VolumeEstimate:
     chunk_size: int
     physical_mode: str
 
-    def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "constraint": self.constraint,
-            "probability": self.probability,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "n_physical": self.n_physical,
-            "method": self.method,
-            "seed": self.seed,
-            "stream": self.stream,
-            "chunk_size": self.chunk_size,
-            "physical_mode": self.physical_mode,
-        }
+    as_dict = asdict
 
 
 def _philox_key(seed: int) -> int:

@@ -16,7 +16,7 @@ reference values that Monte Carlo estimates are compared with.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .models import MODE_ANALYTIC, MODE_PAPER_CUBE, MODE_PSD_ORACLE
 
@@ -40,13 +40,7 @@ class FormulaReport:
     parts: dict = field(default_factory=dict)
     identity_checks: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "parts": dict(self.parts),
-            "identity_checks": dict(self.identity_checks),
-        }
+    as_dict = asdict
 
 
 def _dilog_series(x: float) -> float:

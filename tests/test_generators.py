@@ -40,6 +40,47 @@ def test_gell_mann_convention_entries():
     assert np.array_equal(g13, expected)
 
 
+def _sym(i, j):
+    return {(i, j): 1.0, (j, i): 1.0}
+
+
+def _asym(i, j):
+    return {(i, j): -1.0j, (j, i): 1.0j}
+
+
+def _diag(*entries, norm=1.0):
+    return {(k, k): v / norm for k, v in enumerate(entries, start=1) if v}
+
+
+# The module docstring's table: nonzero entries (1-based row, column) of each generator.
+_SU3 = [
+    _sym(1, 2), _asym(1, 2), _diag(1, -1), _sym(1, 3), _asym(1, 3), _sym(2, 3), _asym(2, 3),
+    _diag(1, 1, -2, norm=np.sqrt(3.0)),
+]
+TABLE = {
+    2: [_sym(1, 2), _asym(1, 2), _diag(1, -1)],
+    3: _SU3,
+    4: _SU3 + [
+        _sym(1, 4), _asym(1, 4), _sym(2, 4), _asym(2, 4), _sym(3, 4), _asym(3, 4),
+        _diag(1, 1, 1, -3, norm=np.sqrt(6.0)),
+    ],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_generator_matches_docstring_table(n):
+    basis = generators.generator_basis(n)
+    assert len(basis) == len(TABLE[n]) == n * n - 1
+    for g, expected in zip(basis, TABLE[n]):
+        assert g.shape == (n, n) and g.dtype == complex
+        entries = {(i + 1, j + 1): g[i, j] for i, j in zip(*np.nonzero(g))}
+        assert entries == expected
+    singles = [generators.pauli(k) for k in (1, 2, 3)] if n == 2 else [
+        generators.gell_mann(n, k) for k in range(1, n * n)
+    ]
+    assert all(a is b for a, b in zip(singles, basis))
+
+
 def test_gell_mann_diagonal_normalization():
     g15 = generators.gell_mann(4, 15)
     assert np.allclose(g15, np.diag([1, 1, 1, -3]) / np.sqrt(6), atol=0)

@@ -62,6 +62,33 @@ class TestEnumerateIslands:
         assert peak < 2**20
         assert not (tmp_path / "x.csv").exists()
 
+    def test_grid_of_voxel_centers_is_never_built(self):
+        islands.enumerate_islands(M1, "multiplicative", 81)  # warm-up: caches and imports
+        tracemalloc.start()
+        try:
+            islands.enumerate_islands(M1, "multiplicative", 81)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (res^3, 3) float array of centers alone would be 24 B per voxel
+        assert peak < 16 * 81**3
+
+    def test_full_occupancy_peak_is_within_refusal_figure(self, monkeypatch):
+        def everywhere(spec, ts, *rest):
+            return np.ones(len(ts), dtype=bool)
+
+        monkeypatch.setattr(islands, "constraint_mask", everywhere)
+        monkeypatch.setattr(models, "physical_mask", everywhere)
+        islands.enumerate_islands(M1, "multiplicative", 41)
+        tracemalloc.start()
+        try:
+            report = islands.enumerate_islands(M1, "multiplicative", 41)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.occupied_voxels == 41**3
+        assert peak <= islands.GRID_BYTES_PER_VOXEL * 41**3
+
     @pytest.mark.parametrize("spec", [M1, M2])
     def test_eight_islands_with_distinct_octants(self, spec):
         rep = islands.enumerate_islands(spec, "multiplicative", 81)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from functools import lru_cache
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entarch import linalg, models, sampling
+from entarch.generators import gell_mann, pauli
 from entarch.errors import UnsupportedMode
 
 M1 = models.get_model("M1")
@@ -363,6 +365,26 @@ class TestBlockOracle:
         away = np.abs(full + eps) > BLOCK_BAND
         assert 0 < np.count_nonzero(mask) < len(pts)
         assert np.array_equal(mask[away], (full >= -eps)[away])
+
+    def test_variant_spec_derives_its_own_couplings(self):
+        # a variant of M1 keeps the model id but reads the middle generator as l14
+        variant = dataclasses.replace(M1, term_indices=((1, 1), (2, 14), (3, 3)))
+        models.coupling_matrices(M1)
+        models.coupling_blocks(M1)
+        expected = np.array([np.kron(pauli(1), gell_mann(4, 1)),
+                             np.kron(pauli(2), gell_mann(4, 14)),
+                             np.kron(pauli(3), gell_mann(4, 3))])
+        k = models.coupling_matrices(variant)
+        assert k[1].tobytes() == expected[1].tobytes()
+        assert k.tobytes() == expected.tobytes()
+        assert variant.pt_signs.tolist() == [1.0, -1.0, 1.0]
+        for indices, couplings in models.coupling_blocks(variant):
+            block = expected[:, indices[:, :, None], indices[:, None, :]]
+            assert couplings.tobytes() == block.tobytes()
+        assert np.array_equal(models.build_state(variant, (0.0, 0.4, 0.0)),
+                              np.eye(8) / 8 + 0.1 * expected[1])
+        # the catalog model keeps its own
+        assert np.array_equal(models.coupling_matrices(M1)[1], np.kron(pauli(2), gell_mann(4, 13)))
 
     def test_no_matrix_larger_than_3x3(self, monkeypatch):
         sizes = []
