@@ -144,70 +144,62 @@ def _get_model(name):
         ) from None
 
 
-def cmd_list_models(args, cfg):
-    return cfg, {"models": models.catalog()}
+def cmd_list_models(args, spec, cfg):
+    return {"models": models.catalog()}
 
 
-def cmd_prob(args, cfg):
-    spec = _get_model(args.model)
-    cfg["physical_mode"] = mode = models.resolve_mode(spec, cfg["physical_mode"])
+def cmd_prob(args, spec, cfg):
     stream = sampling.STREAM_PSEUDO if cfg["method"] == "mc" else sampling.STREAM_LDS
     sampler = sampling.SamplerConfig(
         seed=cfg["seed"], n_samples=cfg["samples"], stream=stream, chunk_size=cfg["chunk"],
-        physical_mode=mode,
+        physical_mode=cfg["physical_mode"],
     )
     est = sampling.estimate_probability(spec, cfg["constraint"], sampler, cfg["eps_psd"])
     result = est.as_dict()
     if args.compare_closed_form:
-        closed = special.reference_probabilities().get((spec.model_id, cfg["constraint"], mode))
+        key = (spec.model_id, cfg["constraint"], cfg["physical_mode"])
+        closed = special.reference_probabilities().get(key)
         if closed is not None:
             result["closed_form"] = closed
             if est.std_error > 0:
                 result["sigmas_from_closed_form"] = (est.probability - closed) / est.std_error
-    return {"model": spec.model_id, **cfg, "compare_closed_form": args.compare_closed_form}, result
+    return result
 
 
-def cmd_classify(args, cfg):
-    spec = _get_model(args.model)
-    cfg["physical_mode"] = models.resolve_mode(spec, cfg["physical_mode"])
+def cmd_classify(args, spec, cfg):
     point = (args.t1, args.t2, args.t3)
     verdict = models.classify(spec, point, **cfg)
-    result = {"model": spec.model_id, "t": list(point), **verdict.as_dict()}
-    return {"model": spec.model_id, "t1": args.t1, "t2": args.t2, "t3": args.t3, **cfg}, result
+    return {"model": spec.model_id, "t": list(point), **verdict.as_dict()}
 
 
-def cmd_islands(args, cfg):
-    spec = _get_model(args.model)
-    cfg["physical_mode"] = models.resolve_mode(spec, cfg["physical_mode"])
-    return {"model": spec.model_id, **cfg}, islands.enumerate_islands(spec, **cfg).as_dict()
+def cmd_islands(args, spec, cfg):
+    return islands.enumerate_islands(spec, **cfg).as_dict()
 
 
-def cmd_export(args, cfg):
-    spec = _get_model(args.model)
-    if cfg["samples"] is not None and cfg["resolution"] is not None:
-        raise UsageError("give either --resolution or --samples, not both")
+def cmd_export(args, spec, cfg):
     if cfg["samples"] is None and cfg["resolution"] is None:
         cfg["resolution"] = 121
-    cfg["physical_mode"] = models.resolve_mode(spec, cfg["physical_mode"])
-    summary = islands.export_point_cloud(
+    return islands.export_point_cloud(
         spec, args.out, cfg["constraint"], resolution=cfg["resolution"], n_samples=cfg["samples"],
         fmt=cfg["format"], seed=cfg["seed"], physical_mode=cfg["physical_mode"],
     )
-    return {"model": spec.model_id, "out": args.out, **cfg}, summary
 
 
-def cmd_verify(args, cfg):
+def cmd_verify(args, spec, cfg):
     checks = special.verify_all()
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"
         print(f"{status}: {c['name']} (residual {c['residual']:.3e})", file=sys.stderr)
-    return cfg, {"checks": checks, "all_passed": special.all_passed(checks)}
+    return {"checks": checks, "all_passed": special.all_passed(checks)}
 
 
-def cmd_bounds(args, cfg):
-    spec = _get_model(args.model)
-    return {"model": spec.model_id, **cfg}, bounds.maximize(spec, **cfg).as_dict()
+def cmd_bounds(args, spec, cfg):
+    return bounds.maximize(spec, **cfg).as_dict()
 
+
+# Parsed attributes the run record leaves out: the dispatch fields, and the
+# ``--config`` path, whose values it echoes as the options they set.
+_NOT_ECHOED = ("subcommand", "handler", "config")
 
 _COMMANDS = {  # name: (handler, help)
     "list-models": (cmd_list_models, "model catalog as JSON"),
@@ -258,7 +250,15 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
-        config, result = args.handler(args, resolve_options(args))
+        cfg = resolve_options(args)
+        spec = _get_model(args.model) if "model" in args else None
+        # export's grid and sample count exclude each other; a usage error
+        # outranks the mode check, as it did when each handler did both.
+        if cfg.get("samples") is not None and cfg.get("resolution") is not None:
+            raise UsageError("give either --resolution or --samples, not both")
+        if "physical_mode" in cfg:
+            cfg["physical_mode"] = models.resolve_mode(spec, cfg["physical_mode"])
+        result = args.handler(args, spec, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -268,6 +268,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    # The run record echoes every argument, each option as the handler resolved it.
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED} | cfg
     record = {"command": args.subcommand, "config": config, "version": __version__, "result": result}
     record["timestamp"] = datetime.now(timezone.utc).isoformat()
     print(json.dumps(record, sort_keys=True, indent=2))

@@ -124,6 +124,7 @@ def _islands_full(spec, constraint, resolution, mode, eps_psd):
     occupied = occupied.reshape((resolution,) * 3)
     labels, count = label_components(occupied)
     pts = ax[np.argwhere(occupied)]  # occupied voxel centers in C order, as ``labels``
+    middle = ax[resolution // 2]  # center of the voxel layer on each coordinate plane
     voxel_volume = (2.0 * half / resolution) ** 3
 
     sizes = np.bincount(labels, minlength=count)
@@ -137,16 +138,18 @@ def _islands_full(spec, constraint, resolution, mode, eps_psd):
         ranked_ids[members] = rank
         mpts = pts[members]
         centroid = mpts.mean(axis=0)
+        bbox = tuple((float(mpts[:, k].min()), float(mpts[:, k].max())) for k in range(3))
         islands.append(
             Island(
                 id=rank,
                 voxel_count=int(len(members)),
                 volume_fraction=len(members) / n_physical if n_physical else 0.0,
                 centroid=tuple(float(c) for c in centroid),
-                octant_signature=tuple(int(np.sign(c)) for c in centroid),
-                bbox=tuple(
-                    (float(mpts[:, k].min()), float(mpts[:, k].max())) for k in range(3)
-                ),
+                # Per axis: +1 or -1 for an island wholly on one side of the middle
+                # voxel layer, 0 for one that reaches it (``ax`` is increasing, so this
+                # is its voxel-index extent); a centroid's sign would be rounding noise.
+                octant_signature=tuple(int(lo > middle) - int(hi < middle) for lo, hi in bbox),
+                bbox=bbox,
             )
         )
     report = IslandReport(

@@ -49,9 +49,9 @@ def as_square(m) -> np.ndarray:
     return a
 
 
-def is_hermitian(m, tol: float = _HERMITIAN_TOL) -> bool:
+def is_hermitian(m) -> bool:
     a = np.asarray(m)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol * max(1.0, np.max(np.abs(a))))
+    return bool(np.max(np.abs(a - a.conj().T)) <= _HERMITIAN_TOL * max(1.0, np.max(np.abs(a))))
 
 
 def kron(a, b) -> np.ndarray:
@@ -82,7 +82,7 @@ def partial_transpose_b(m, dim_a: int, dim_b: int) -> np.ndarray:
     )
 
 
-def hermitian_eigenvalues(m, max_sweeps: int = _MAX_SWEEPS) -> EigenResult:
+def hermitian_eigenvalues(m) -> EigenResult:
     """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
 
     The input must be Hermitian within 1e-12 (checked).  Iterates sweeps of
@@ -91,7 +91,7 @@ def hermitian_eigenvalues(m, max_sweeps: int = _MAX_SWEEPS) -> EigenResult:
     """
     a = as_square(m)
     scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if not is_hermitian(a, _HERMITIAN_TOL):
+    if not is_hermitian(a):
         raise ContractViolation("matrix is not Hermitian within 1e-12")
     n = a.shape[0]
     if n == 1:
@@ -110,9 +110,9 @@ def hermitian_eigenvalues(m, max_sweeps: int = _MAX_SWEEPS) -> EigenResult:
     sweeps = 0
     off = max_off(a)
     while off > tol:
-        if sweeps >= max_sweeps:
+        if sweeps >= _MAX_SWEEPS:
             raise NumericFailure(
-                f"Jacobi iteration did not converge in {max_sweeps} sweeps "
+                f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps "
                 f"(residual {off:.3e}, tolerance {tol:.3e})"
             )
         for p in range(n - 1):

@@ -43,6 +43,7 @@ M5  two-qutrit (3x3), generators (l1,l1), (l2,l4), (l3,l6).  The spectrum
     membership, and the ball supplies the margin, volume and l1 supremum.
 """
 
+import itertools
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -352,16 +353,6 @@ def _side_generator(dim: int, index: int) -> np.ndarray:
     return pauli(index) if dim == 2 else gell_mann(dim, index)
 
 
-def coupling_matrices(spec: ModelSpec) -> np.ndarray:
-    """``spec.coupling_matrices``: the read-only (3, d, d) coupling stack."""
-    return spec.coupling_matrices
-
-
-def coupling_blocks(spec: ModelSpec) -> tuple:
-    """``spec.coupling_blocks``: the exact block split shared by the family's states."""
-    return spec.coupling_blocks
-
-
 def _least_eigenvalues(spec: ModelSpec, ts: np.ndarray) -> np.ndarray:
     """Least eigenvalue of each state: LAPACK on its coupling blocks, one stack per size."""
     least = np.full(len(ts), np.inf)
@@ -383,14 +374,11 @@ def build_state(spec: ModelSpec, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.shape != (3,):
         raise ContractViolation(f"parameter point must have three components, got {t.shape}")
-    k = spec.coupling_matrices
-    return spec.identity_weight * np.eye(spec.dim, dtype=complex) + spec.coefficient * (
-        t[0] * k[0] + t[1] * k[1] + t[2] * k[2]
-    )
+    return build_states(spec, t[None])[0]
 
 
 def build_states(spec: ModelSpec, ts: np.ndarray) -> np.ndarray:
-    """Batched ``build_state`` for an (N, 3) array of parameter points."""
+    """The family's density matrices at an (N, 3) array of parameter points."""
     ts = np.asarray(ts, dtype=float)
     k = spec.coupling_matrices
     base = spec.identity_weight * np.eye(spec.dim, dtype=complex)
@@ -526,6 +514,17 @@ def classify(
     )
 
 
+def _state_record(side: str, signs: tuple, rho: np.ndarray) -> dict:
+    vals = hermitian_eigenvalues(rho).values
+    return {
+        "side": side,
+        "signs": signs,
+        "trace": float(np.trace(rho).real),
+        "eigenvalues": [float(v) for v in vals],
+        "min_eigenvalue": float(vals[0]),
+    }
+
+
 def extremal_states() -> list:
     """The extremal single-side states tied to the two constraint constants.
 
@@ -535,42 +534,21 @@ def extremal_states() -> list:
     + (1/(3 sqrt6)) l15), each with trace, spectrum and minimum eigenvalue.
     """
     records = []
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                rho = np.eye(2, dtype=complex) / 2 + (
-                    s1 * pauli(1) + s2 * pauli(2) + s3 * pauli(3)
-                ) / (2 * np.sqrt(3))
-                vals = hermitian_eigenvalues(rho).values
-                records.append(
-                    {
-                        "side": "qubit",
-                        "signs": (s1, s2, s3),
-                        "trace": float(np.trace(rho).real),
-                        "eigenvalues": [float(v) for v in vals],
-                        "min_eigenvalue": float(vals[0]),
-                    }
-                )
+    for s1, s2, s3 in itertools.product((1, -1), repeat=3):
+        rho = np.eye(2, dtype=complex) / 2 + (
+            s1 * pauli(1) + s2 * pauli(2) + s3 * pauli(3)
+        ) / (2 * np.sqrt(3))
+        records.append(_state_record("qubit", (s1, s2, s3), rho))
     w = np.sqrt(2.0) / 3.0
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            rho = np.eye(4, dtype=complex) / 4 + 0.5 * (
-                s1 * w * gell_mann(4, 1)
-                + s2 * w * gell_mann(4, 3)
-                + gell_mann(4, 13) / 3
-                + gell_mann(4, 8) / (3 * np.sqrt(3))
-                + gell_mann(4, 15) / (3 * np.sqrt(6))
-            )
-            vals = hermitian_eigenvalues(rho).values
-            records.append(
-                {
-                    "side": "ququart",
-                    "signs": (s1, s2),
-                    "trace": float(np.trace(rho).real),
-                    "eigenvalues": [float(v) for v in vals],
-                    "min_eigenvalue": float(vals[0]),
-                }
-            )
+    for s1, s2 in itertools.product((1, -1), repeat=2):
+        rho = np.eye(4, dtype=complex) / 4 + 0.5 * (
+            s1 * w * gell_mann(4, 1)
+            + s2 * w * gell_mann(4, 3)
+            + gell_mann(4, 13) / 3
+            + gell_mann(4, 8) / (3 * np.sqrt(3))
+            + gell_mann(4, 15) / (3 * np.sqrt(6))
+        )
+        records.append(_state_record("ququart", (s1, s2), rho))
     return records
 
 

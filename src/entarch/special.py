@@ -218,45 +218,6 @@ def verify_all() -> list:
     rep1 = p1_original()
     rep1s = p1_simplified()
     rep2 = p2_closed()
-    checks = [
-        _check("qubit_ququart_longform_value", rep1.value, P1_REFERENCE, 1e-11),
-        _check("qubit_ququart_simplified_value", rep1s.value, P1_REFERENCE, 1e-11),
-        _check("longform_equals_simplified", rep1.value, rep1s.value, 1e-12),
-        _check(
-            "radical_factorization",
-            rep1.identity_checks["radical_factorization"],
-            0.0,
-            1e-13,
-        ),
-        _check(
-            "log_difference_is_twice_acoth",
-            rep1s.identity_checks["log_difference_is_twice_acoth"],
-            0.0,
-            1e-13,
-        ),
-        _check(
-            "log_minus_acoth_reduction",
-            rep1s.identity_checks["log_minus_acoth_reduction"],
-            0.0,
-            1e-13,
-        ),
-        _check("li1_difference_is_twice_acoth", li1_identity_check(), 0.0, 1e-13),
-        _check("two_ququart_value", rep2.value, P2_REFERENCE, 5e-7),
-        _check(
-            "two_ququart_cross_form",
-            rep2.identity_checks["uniform_product_tail_form"],
-            0.0,
-            1e-14,
-        ),
-        _check("chi_tilde_limit_at_one", chi_tilde_1(1.0), 1.0, 1e-12),
-        _check("dilog_at_one", dilog(1.0), _PI2_6, 1e-14),
-        _check(
-            "dilog_at_half",
-            dilog(0.5),
-            math.pi**2 / 12.0 - math.log(2.0) ** 2 / 2.0,
-            1e-14,
-        ),
-    ]
     # Reflection and duplication identities on a deterministic grid.
     reflection = max(
         abs(dilog(x) + dilog(1.0 - x) - (_PI2_6 - math.log(x) * math.log1p(-x)))
@@ -267,13 +228,25 @@ def verify_all() -> list:
         for x in (k / 64.0 - 0.5 for k in range(0, 64))
         if x != 0.0
     )
-    checks.append(_check("dilog_reflection_identity", reflection, 0.0, 1e-13))
-    checks.append(_check("dilog_duplication_identity", duplication, 0.0, 1e-13))
-    grid = [k / 1000.0 for k in range(1, 1001)]
-    vals = [chi_tilde_1(x) for x in grid]
+    vals = [chi_tilde_1(k / 1000.0) for k in range(1, 1001)]
     worst_step = min(b - a for a, b in zip(vals, vals[1:]))
-    checks.append(_check("chi_tilde_nondecreasing", max(0.0, -worst_step), 0.0, 1e-15))
-    return checks
+    p1_identities = {**rep1.identity_checks, **rep1s.identity_checks}
+    rows = [  # (name, value, target, tolerance)
+        ("qubit_ququart_longform_value", rep1.value, P1_REFERENCE, 1e-11),
+        ("qubit_ququart_simplified_value", rep1s.value, P1_REFERENCE, 1e-11),
+        ("longform_equals_simplified", rep1.value, rep1s.value, 1e-12),
+        *((name, residual, 0.0, 1e-13) for name, residual in p1_identities.items()),
+        ("li1_difference_is_twice_acoth", li1_identity_check(), 0.0, 1e-13),
+        ("two_ququart_value", rep2.value, P2_REFERENCE, 5e-7),
+        ("two_ququart_cross_form", rep2.identity_checks["uniform_product_tail_form"], 0.0, 1e-14),
+        ("chi_tilde_limit_at_one", chi_tilde_1(1.0), 1.0, 1e-12),
+        ("dilog_at_one", dilog(1.0), _PI2_6, 1e-14),
+        ("dilog_at_half", dilog(0.5), math.pi**2 / 12.0 - math.log(2.0) ** 2 / 2.0, 1e-14),
+        ("dilog_reflection_identity", reflection, 0.0, 1e-13),
+        ("dilog_duplication_identity", duplication, 0.0, 1e-13),
+        ("chi_tilde_nondecreasing", max(0.0, -worst_step), 0.0, 1e-15),
+    ]
+    return [_check(*row) for row in rows]
 
 
 def all_passed(checks) -> bool:

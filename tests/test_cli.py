@@ -142,6 +142,12 @@ class TestExport:
         )
         assert code == 2
 
+    def test_both_grid_and_samples_outranks_mode_error(self, capsys, tmp_path):
+        out = str(tmp_path / "x.csv")
+        argv = ["export", "M1", "--resolution", "41", "--samples", "100", "--out", out]
+        assert cli.main([*argv, "--physical-mode", "paper-cube"]) == 2
+        assert "not both" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_passes(self, capsys):

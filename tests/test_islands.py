@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -97,6 +98,19 @@ class TestEnumerateIslands:
         assert len(signatures) == 8
         for sig in signatures:
             assert all(s in (-1, 1) for s in sig)
+
+    def test_octant_signature_from_voxel_extent(self):
+        # a sign is 0 on an axis whose coordinate plane the island reaches,
+        # not the sign of a centroid that is zero up to rounding
+        m5 = islands.enumerate_islands(M5, "additive", 33)
+        assert [isl.octant_signature for isl in m5.islands] == [(0, 0, 0)]
+        m2 = islands.enumerate_islands(M2, "non_ppt", 33)
+        assert [isl.octant_signature for isl in m2.islands] == [
+            (-1, 0, -1), (-1, 0, 1), (1, 0, -1), (1, 0, 1)
+        ]
+        m1 = islands.enumerate_islands(M1, "multiplicative", 33)
+        signatures = {isl.octant_signature for isl in m1.islands}
+        assert signatures == set(itertools.product((1, -1), repeat=3))
 
     def test_oracle_grid_is_classified_one_plane_at_a_time(self, monkeypatch):
         sizes = []

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from entarch import generators, linalg, models
-from entarch.errors import ContractViolation, DimensionOverflow
+from entarch.errors import ContractViolation, DimensionOverflow, NumericFailure
 
 
 def random_hermitian(rng, n):
@@ -116,6 +116,13 @@ class TestHermitianEigenvalues:
             res = linalg.hermitian_eigenvalues(m)
             assert np.max(np.abs(res.values - np.linalg.eigvalsh(m))) < 1e-12
             assert res.residual <= 1e-13 * np.max(np.abs(m))
+
+    def test_non_convergence_raises(self, monkeypatch):
+        # one sweep cannot diagonalize a dense 16 x 16 matrix
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        m = random_hermitian(np.random.default_rng(13), 16)
+        with pytest.raises(NumericFailure, match=r"in 1 sweeps .*tolerance \d"):
+            linalg.hermitian_eigenvalues(m)
 
     def test_random_suite_trace_and_similarity(self):
         # 1e4 random Hermitian matrices, dims 2..16: eigenvalue sum matches

@@ -311,6 +311,16 @@ class TestExtremalStates:
                 continue
             assert r["min_eigenvalue"] >= -1e-12
 
+    def test_sign_order(self):
+        # qubit sign triples, then ququart pairs, each in itertools.product order of (1, -1)
+        order = [(r["side"], r["signs"]) for r in models.extremal_states()]
+        assert order == [
+            ("qubit", (1, 1, 1)), ("qubit", (1, 1, -1)), ("qubit", (1, -1, 1)),
+            ("qubit", (1, -1, -1)), ("qubit", (-1, 1, 1)), ("qubit", (-1, 1, -1)),
+            ("qubit", (-1, -1, 1)), ("qubit", (-1, -1, -1)),
+            ("ququart", (1, 1)), ("ququart", (1, -1)), ("ququart", (-1, 1)), ("ququart", (-1, -1)),
+        ]
+
 
 def test_catalog_shape():
     cat = models.catalog()
@@ -333,8 +343,8 @@ class TestBlockOracle:
     @pytest.mark.parametrize("model_id", sorted(models.MODELS))
     def test_blocks_split_every_coupling_exactly(self, model_id):
         spec = models.MODELS[model_id]
-        k = models.coupling_matrices(spec)
-        blocks = [idx for indices, _ in models.coupling_blocks(spec) for idx in indices]
+        k = spec.coupling_matrices
+        blocks = [idx for indices, _ in spec.coupling_blocks for idx in indices]
         order = np.concatenate(blocks)
         assert sorted(order.tolist()) == list(range(spec.dim))
         inside = np.zeros((spec.dim, spec.dim), dtype=bool)
@@ -350,7 +360,7 @@ class TestBlockOracle:
             expected[:, start:end, start:end] = k[:, idx[:, None], idx[None, :]]
             start = end
         assert np.array_equal(permuted, expected)
-        for indices, couplings in models.coupling_blocks(spec):
+        for indices, couplings in spec.coupling_blocks:
             assert np.array_equal(couplings, k[:, indices[:, :, None], indices[:, None, :]])
 
     @pytest.mark.parametrize("model_id", sorted(models.MODELS))
@@ -369,22 +379,21 @@ class TestBlockOracle:
     def test_variant_spec_derives_its_own_couplings(self):
         # a variant of M1 keeps the model id but reads the middle generator as l14
         variant = dataclasses.replace(M1, term_indices=((1, 1), (2, 14), (3, 3)))
-        models.coupling_matrices(M1)
-        models.coupling_blocks(M1)
+        M1.coupling_matrices, M1.coupling_blocks  # fill the catalog model's caches first
         expected = np.array([np.kron(pauli(1), gell_mann(4, 1)),
                              np.kron(pauli(2), gell_mann(4, 14)),
                              np.kron(pauli(3), gell_mann(4, 3))])
-        k = models.coupling_matrices(variant)
+        k = variant.coupling_matrices
         assert k[1].tobytes() == expected[1].tobytes()
         assert k.tobytes() == expected.tobytes()
         assert variant.pt_signs.tolist() == [1.0, -1.0, 1.0]
-        for indices, couplings in models.coupling_blocks(variant):
+        for indices, couplings in variant.coupling_blocks:
             block = expected[:, indices[:, :, None], indices[:, None, :]]
             assert couplings.tobytes() == block.tobytes()
         assert np.array_equal(models.build_state(variant, (0.0, 0.4, 0.0)),
                               np.eye(8) / 8 + 0.1 * expected[1])
         # the catalog model keeps its own
-        assert np.array_equal(models.coupling_matrices(M1)[1], np.kron(pauli(2), gell_mann(4, 13)))
+        assert np.array_equal(M1.coupling_matrices[1], np.kron(pauli(2), gell_mann(4, 13)))
 
     def test_no_matrix_larger_than_3x3(self, monkeypatch):
         sizes = []

@@ -37,6 +37,7 @@ RECORDS = {
         '"voxel_count": 190}'
     ),
     "IslandReport": (
+        # the one island reaches every coordinate plane, so its octant signature is (0, 0, 0)
         lambda: islands.enumerate_islands(get("M5"), "additive", 33),
         '{"bounding_box": [[-0.4444444444444444, 0.4444444444444444], [-0.4444444444444444, '
         '0.4444444444444444], [-0.4444444444444444, 0.4444444444444444]], '
@@ -44,7 +45,7 @@ RECORDS = {
         '"islands": [{"bbox": [[-0.43097643097643096, 0.430976430976431], '
         '[-0.43097643097643096, 0.430976430976431], [-0.43097643097643096, '
         '0.430976430976431]], "centroid": [1.2818249629904036e-17, 2.7850717819359647e-18, '
-        '-1.4963273859469623e-18], "id": 1, "octant_signature": [1, 1, -1], '
+        '-1.4963273859469623e-18], "id": 1, "octant_signature": [0, 0, 0], '
         '"volume_fraction": 0.68084654962075, "voxel_count": 12836}], "model": "M5", '
         '"occupied_voxels": 12836, "physical_mode": "psd_oracle", "physical_voxels": 18853, '
         '"resolution": 33, "voxel_volume": 1.95434221440638e-05}'

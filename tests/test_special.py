@@ -128,6 +128,27 @@ def test_verify_all_passes():
     assert not failed, failed
 
 
+def test_verify_all_names_and_tolerances_in_order():
+    checks = special.verify_all()
+    assert [(c["name"], c["tolerance"]) for c in checks] == [
+        ("qubit_ququart_longform_value", 1e-11),
+        ("qubit_ququart_simplified_value", 1e-11),
+        ("longform_equals_simplified", 1e-12),
+        ("radical_factorization", 1e-13),
+        ("log_difference_is_twice_acoth", 1e-13),
+        ("log_minus_acoth_reduction", 1e-13),
+        ("li1_difference_is_twice_acoth", 1e-13),
+        ("two_ququart_value", 5e-7),
+        ("two_ququart_cross_form", 1e-14),
+        ("chi_tilde_limit_at_one", 1e-12),
+        ("dilog_at_one", 1e-14),
+        ("dilog_at_half", 1e-14),
+        ("dilog_reflection_identity", 1e-13),
+        ("dilog_duplication_identity", 1e-13),
+        ("chi_tilde_nondecreasing", 1e-15),
+    ]
+
+
 def test_verify_all_detects_mutation(monkeypatch):
     # Shifting the dilogarithm by 1e-6 must break the verification chain.
     original = special.dilog
