@@ -1,13 +1,15 @@
 """Dense complex linear algebra sized for this problem (matrices up to 16 x 16).
 
 Everything here operates on plain ``numpy.ndarray`` values of dtype
-``complex128``.  Eigenvalues of Hermitian matrices are computed with a
-cyclic Jacobi iteration, which is simple and very accurate at these sizes;
-``eigvalsh_stack`` is a LAPACK-backed batched variant for hot loops and is
-cross-checked against the Jacobi solver in the test suite.  The PSD oracle
-(``models.physical_mask`` in "psd_oracle" mode) passes it the exact coupling
-blocks of the states, at most 3 x 3 for the catalog, one stack per block
-size, rather than the full states.
+``complex128``.  ``eigvalsh_stack`` is the one eigen path of the library:
+LAPACK on an (N, d, d) stack.  The PSD oracle (``models.physical_mask`` in
+"psd_oracle" mode, ``models.ppt_mask``, ``models.is_ppt`` and
+``models.classify``) passes it the exact coupling blocks of the states, at
+most 3 x 3 for the catalog, one stack per block size, rather than the full
+states.  ``hermitian_eigenvalues``, a cyclic Jacobi iteration that is simple
+and very accurate at these sizes, is a public utility for single dense
+matrices up to 16 x 16; no verdict of the library calls it, and the test
+suite cross-checks it against ``eigvalsh_stack``.
 """
 
 from dataclasses import dataclass

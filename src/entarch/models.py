@@ -18,7 +18,10 @@ volume, l1 supremum and direct sampler every per-model predicate reads.
 The oracle solves the exact coupling blocks of each state: the three
 couplings share a fixed zero pattern, whose connected components split every
 state, by a permutation, into blocks of at most 3 x 3 for these five families,
-each still diagonalized by LAPACK.
+each still diagonalized by LAPACK.  The per-point ``classify`` and ``is_ppt``
+read the same oracle, on t and on the point pt_signs * t that the partial
+transpose reflects it to, and ``extremal_states`` the same LAPACK call; no
+verdict runs the Jacobi solver of ``linalg``.
 
 Models
 ------
@@ -54,12 +57,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import ContractViolation, UnsupportedMode
 from .generators import gell_mann, pauli
-from .linalg import (
-    DEFAULT_EPS_PSD,
-    eigvalsh_stack,
-    hermitian_eigenvalues,
-    partial_transpose_b,
-)
+from .linalg import DEFAULT_EPS_PSD, eigvalsh_stack
 
 LABELS = ("unphysical", "undetermined", "bound_entangled", "free_entangled")
 # verdict_label's policy as a table indexed by 4 * physical + 2 * ppt + constrained.
@@ -448,11 +446,24 @@ def ppt_mask(spec: ModelSpec, ts: np.ndarray, eps_psd: float = DEFAULT_EPS_PSD) 
     return physical_mask(spec, ts * spec.pt_signs, mode, eps_psd)
 
 
+def _check_point(t) -> np.ndarray:
+    """``t`` as a float array, refused unless it is three finite coordinates."""
+    t = np.asarray(t, dtype=float)
+    if t.shape != (3,) or not np.all(np.isfinite(t)):
+        raise ContractViolation(
+            f"parameter point must be three finite coordinates, got {t.tolist()!r}"
+        )
+    return t
+
+
 def is_ppt(spec: ModelSpec, t, eps_psd: float = DEFAULT_EPS_PSD) -> bool:
-    """PPT test via the eigenvalue oracle on the partial transpose."""
-    rho = build_state(spec, t)
-    pt = partial_transpose_b(rho, spec.dim_a, spec.dim_b)
-    return bool(hermitian_eigenvalues(pt).values[0] >= -eps_psd)
+    """PPT test: the least eigenvalue of rho(t)^{T_B} = rho(pt_signs * t) is >= -eps_psd.
+
+    The eigenvalue comes from the block eigen-oracle of ``physical_mask``,
+    which solves the exact coupling blocks of the reflected state.
+    """
+    t = _check_point(t)
+    return bool(_least_eigenvalues(spec, (t * spec.pt_signs)[None])[0] >= -eps_psd)
 
 
 def multiplicative_mask(spec: ModelSpec, ts: np.ndarray) -> np.ndarray:
@@ -489,13 +500,18 @@ def classify(
     eps_psd: float = DEFAULT_EPS_PSD,
     physical_mode: str | None = None,
 ) -> Classification:
-    """Full per-point verdict: physicality, PPT, constraints and label."""
-    t = np.asarray(t, dtype=float)
+    """Full per-point verdict: physicality, PPT, constraints and label.
+
+    ``min_eigenvalue`` and ``min_pt_eigenvalue`` are the least eigenvalues of
+    rho(t) and of rho(t)^{T_B} = rho(pt_signs * t), both from one call to the
+    block eigen-oracle of ``physical_mask``.  PPT means the second is
+    >= -eps_psd.  Physicality reads the first in "psd_oracle" mode and the
+    mode's region otherwise.  A point that is not three finite coordinates
+    raises ``ContractViolation``.
+    """
+    t = _check_point(t)
     mode = resolve_mode(spec, physical_mode)
-    rho = build_state(spec, t)
-    min_eig = float(hermitian_eigenvalues(rho).values[0])
-    pt = partial_transpose_b(rho, spec.dim_a, spec.dim_b)
-    min_pt_eig = float(hermitian_eigenvalues(pt).values[0])
+    min_eig, min_pt_eig = map(float, _least_eigenvalues(spec, np.stack([t, t * spec.pt_signs])))
     if mode == MODE_PSD_ORACLE:
         physical = min_eig >= -eps_psd
     else:
@@ -515,7 +531,7 @@ def classify(
 
 
 def _state_record(side: str, signs: tuple, rho: np.ndarray) -> dict:
-    vals = hermitian_eigenvalues(rho).values
+    vals = eigvalsh_stack(rho[None])[0]
     return {
         "side": side,
         "signs": signs,

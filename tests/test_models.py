@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from entarch import linalg, models, sampling
 from entarch.generators import gell_mann, pauli
-from entarch.errors import UnsupportedMode
+from entarch.errors import ContractViolation, UnsupportedMode
 
 M1 = models.get_model("M1")
 M2 = models.get_model("M2")
@@ -276,6 +276,31 @@ class TestClassify:
             c.physical and c.ppt and not c.multiplicative and not c.additive
         )
 
+    @pytest.mark.parametrize("model_id", sorted(models.MODELS))
+    def test_matches_full_state_spectra(self, model_id):
+        # an independent route to both eigenvalues: the full d x d state and
+        # its partial transpose, built and solved whole
+        spec = models.MODELS[model_id]
+        rng = np.random.default_rng(2027)
+        pts = (2.0 * rng.random((2000, 3)) - 1.0) * 1.2 * spec.box_half
+        eps = linalg.DEFAULT_EPS_PSD
+        for t in pts:
+            c = models.classify(spec, t)
+            rho = models.build_state(spec, t)
+            pt = linalg.partial_transpose_b(rho, spec.dim_a, spec.dim_b)
+            assert abs(c.min_eigenvalue - np.linalg.eigvalsh(rho)[0]) <= 1e-14
+            assert abs(c.min_pt_eigenvalue - np.linalg.eigvalsh(pt)[0]) <= 1e-14
+            assert models.is_ppt(spec, t) == (c.min_pt_eigenvalue >= -eps)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("check", [models.classify, models.is_ppt])
+    @pytest.mark.parametrize(
+        "t", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf), (0.1, 0.2), [[0.1, 0.2, 0.3]]]
+    )
+    def test_refuses_points_that_are_not_three_finite_coordinates(self, check, t):
+        with pytest.raises(ContractViolation, match="three finite coordinates, got"):
+            check(M1, t)
+
     def test_verdict_label_vocabulary(self):
         # (physical, ppt, constrained) in product order: F,F,F ... T,T,T
         verdicts = np.array(list(itertools.product([False, True], repeat=3)))
@@ -411,6 +436,29 @@ class TestBlockOracle:
             models.physical_mask(spec, pts, models.MODE_PSD_ORACLE)
             models.ppt_mask(spec, pts)
         assert sizes and max(sizes) <= 3
+
+    @pytest.mark.parametrize("model_id", sorted(models.MODELS))
+    def test_classify_is_one_oracle_call(self, model_id, monkeypatch):
+        spec = models.MODELS[model_id]
+        stacks, jacobi = [], []
+        eig = linalg.eigvalsh_stack
+
+        def spy(stack):
+            stacks.append(stack.shape)
+            return eig(stack)
+
+        monkeypatch.setattr(models, "eigvalsh_stack", spy)
+        monkeypatch.setattr(linalg, "eigvalsh_stack", spy)
+        for module in (models, linalg):
+            monkeypatch.setattr(module, "hermitian_eigenvalues", jacobi.append, raising=False)
+        expected = [(2 * len(idx), idx.shape[1], idx.shape[1]) for idx, _ in spec.coupling_blocks]
+        for mode in spec.modes:
+            stacks.clear()
+            models.classify(spec, (0.1, -0.05, 0.02), physical_mode=mode)
+            # rho(t) and rho(t)^{T_B} together: one stack per block size, none above 3 x 3
+            assert stacks == expected
+            assert max(b for _, b, _ in stacks) <= 3
+        assert jacobi == []
 
     @pytest.mark.parametrize(
         "model_id, constraint, n_physical, hits",

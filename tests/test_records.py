@@ -18,7 +18,7 @@ RECORDS = {
     "Classification": (
         lambda: models.classify(get("M1"), (0.2, 0.45, 0.25)),
         '{"additive": false, "label": "bound_entangled", '
-        '"min_eigenvalue": 0.012499999999999994, "min_pt_eigenvalue": 0.012499999999999994, '
+        '"min_eigenvalue": 0.01249999999999999, "min_pt_eigenvalue": 0.01249999999999999, '
         '"multiplicative": true, "physical": true, "ppt": true}'
     ),
     "FormulaReport": (
