@@ -363,16 +363,23 @@ def _least_eigenvalues(spec: ModelSpec, ts: np.ndarray) -> np.ndarray:
     return least
 
 
+def _check_point(t) -> np.ndarray:
+    """``t`` as a float array, refused unless it is three finite coordinates."""
+    t = np.asarray(t, dtype=float)
+    if t.shape != (3,) or not np.all(np.isfinite(t)):
+        raise ContractViolation(
+            f"parameter point must be three finite coordinates, got {t.tolist()!r}"
+        )
+    return t
+
+
 def build_state(spec: ModelSpec, t) -> np.ndarray:
     """Density matrix of the family at parameter point t = (t1, t2, t3).
 
-    Any real t is accepted; physicality is a separate check.  The result is
-    Hermitian with unit trace by construction.
+    Any finite real t is accepted; physicality is a separate check.  The
+    result is Hermitian with unit trace by construction.
     """
-    t = np.asarray(t, dtype=float)
-    if t.shape != (3,):
-        raise ContractViolation(f"parameter point must have three components, got {t.shape}")
-    return build_states(spec, t[None])[0]
+    return build_states(spec, _check_point(t)[None])[0]
 
 
 def build_states(spec: ModelSpec, ts: np.ndarray) -> np.ndarray:
@@ -444,16 +451,6 @@ def ppt_mask(spec: ModelSpec, ts: np.ndarray, eps_psd: float = DEFAULT_EPS_PSD) 
     ts = np.atleast_2d(np.asarray(ts, dtype=float))
     mode = MODE_ANALYTIC if MODE_ANALYTIC in spec.regions else MODE_PSD_ORACLE
     return physical_mask(spec, ts * spec.pt_signs, mode, eps_psd)
-
-
-def _check_point(t) -> np.ndarray:
-    """``t`` as a float array, refused unless it is three finite coordinates."""
-    t = np.asarray(t, dtype=float)
-    if t.shape != (3,) or not np.all(np.isfinite(t)):
-        raise ContractViolation(
-            f"parameter point must be three finite coordinates, got {t.tolist()!r}"
-        )
-    return t
 
 
 def is_ppt(spec: ModelSpec, t, eps_psd: float = DEFAULT_EPS_PSD) -> bool:

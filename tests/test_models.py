@@ -293,7 +293,7 @@ class TestClassify:
             assert models.is_ppt(spec, t) == (c.min_pt_eigenvalue >= -eps)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("check", [models.classify, models.is_ppt])
+    @pytest.mark.parametrize("check", [models.classify, models.is_ppt, models.build_state])
     @pytest.mark.parametrize(
         "t", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf), (0.1, 0.2), [[0.1, 0.2, 0.3]]]
     )

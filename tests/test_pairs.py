@@ -1,6 +1,7 @@
 """One smoke pair of ``tools/pairs.py``: the parent at HEAD against the working tree."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ END_TO_END = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text(
 
 
 def test_pairs_smoke(tmp_path):
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True)
     if head.returncode != 0:
         pytest.skip("not a git checkout")

@@ -1,6 +1,6 @@
 """Alternating parent/change benchmark pairs, written to one ``BENCH_<n>.json``.
 
-    python tools/pairs.py PARENT [CHANGE] --pairs 10 --out BENCH_<n>.json [--workload W ...]
+    python tools/pairs.py PARENT [CHANGE] --out BENCH_<n>.json [--workload W ...]
 
 PARENT and CHANGE are git revisions of this repository; without CHANGE the
 working tree (its tracked and untracked, not ignored, files) is the change.
@@ -11,8 +11,8 @@ checkout with identical settings.  For every workload (default: all of
 
     python3 bench/run.py --workload W --seed i --seconds S --trace 0
 
-once on each side with seed i = first seed + k, one run at a time; even k run
-the parent first, odd k the change.  The JSON lists every run (metrics,
+once on each side with seed i = k + 1 for k < PAIRS, one run at a time; even
+k run the parent first, odd k the change.  The JSON lists every run (metrics,
 ``correct``, ``attempted``, ``failed``) and, per workload and end-to-end metric,
 each side's median and quartiles (``statistics.quantiles(n=4)``), the
 parent's interquartile distance, the pairs the change wins and loses (ties
@@ -25,7 +25,6 @@ check of the tool rather than a measurement.
 import argparse
 import io
 import json
-import os
 import platform
 import shutil
 import statistics
@@ -38,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 RUN_TIMEOUT_S = 600
+PAIRS = 10
 
 
 def git(*args) -> str:
@@ -51,7 +51,9 @@ def export(revision, dest: Path) -> str:
         sha = git("rev-parse", "--verify", f"{revision}^{{commit}}")
         tar = subprocess.run(["git", "archive", sha], cwd=ROOT, capture_output=True, check=True)
         with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
-            archive.extractall(dest, filter="data")
+            # The "data" filter exists from Python 3.10.12 and 3.11.4 on.
+            safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+            archive.extractall(dest, **safe)
         return sha
     files = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
     for name in filter(None, files):
@@ -117,16 +119,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append",
                         choices=[w["name"] for w in BENCHMARK["workloads"]],
                         help="repeat for several; default every workload of BENCHMARK.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
     parser.add_argument("--note", default="", help="what the change is, stored as `what`")
     parser.add_argument("--smoke", action="store_true", help="one pair per workload, tiny sizes")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.first_seed < 0:
-        parser.error("--pairs must be positive and --first-seed non-negative")
     workloads = args.workload or [w["name"] for w in BENCHMARK["workloads"]]
-    pairs, seconds = (1, 1) if args.smoke else (args.pairs, BENCHMARK["run_seconds"])
+    pairs, seconds = (1, 1) if args.smoke else (PAIRS, BENCHMARK["run_seconds"])
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         checkouts = {side: Path(tmp) / side for side in ("parent", "change")}
         for path in checkouts.values():
@@ -139,16 +137,16 @@ def main(argv=None) -> int:
             "method": f"bench/run.py --workload W --seed i --seconds {seconds} --trace 0"
                       f"{' --smoke' if args.smoke else ''}, one run at a time in a fresh export "
                       "of each side; even pairs run the parent first, odd pairs the change",
-            "host": {"nproc": len(os.sched_getaffinity(0)), "machine": platform.machine()},
+            "host": {"machine": platform.machine()},
             "rows": [],
         }
         for workload in workloads:
             for k in range(pairs):
-                seed = args.first_seed + k
+                seed = k + 1
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
                     env, result = run(checkouts[side], workload, seed, seconds, args.smoke)
-                    record["host"].update((key, env[key]) for key in ("python", "numpy", "scipy"))
+                    record["host"].update((key, env[key]) for key in ("nproc", "python", "numpy", "scipy"))
                     record["rows"].append({
                         "workload": workload, "seed": seed, "side": side, "first": order[0],
                         "correct": result["correct"], "attempted": result["attempted"],
